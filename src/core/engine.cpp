@@ -221,16 +221,20 @@ void Engine::drain_into(EngineReport& report) {
   std::vector<RunContext>& batch = drain_batch_;
   const std::size_t n = batch.size();
 
-  // Stage fan-out: contexts are independent, so prepare/place/flows for the
-  // pending queries run concurrently; slot i holds query i's products, so
-  // the results are in submission order no matter the interleaving. Plan-
-  // cache hits skip the graph entirely (their products were copied at
-  // submission).
+  // Stage fan-out over the plan-cache misses only: hits skip the graph
+  // entirely (their products were copied at submission), so an all-hit epoch
+  // fans out nothing and a single miss runs inline on this thread. Contexts
+  // are independent, so the misses' prepare/place/flows run concurrently;
+  // slot i holds query i's products, so the results are in submission order
+  // no matter the interleaving.
+  drain_misses_.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!batch[i].plan_cached) drain_misses_.push_back(i);
+  }
   util::parallel_for(
-      n,
-      [&](std::size_t i) {
-        RunContext& ctx = batch[i];
-        if (ctx.plan_cached) return;
+      drain_misses_.size(),
+      [&](std::size_t k) {
+        RunContext& ctx = batch[drain_misses_[k]];
         if (ctx.sparse) {
           // Raw sparse submission: aggregate the flow list (duplicates merge
           // by summing) for metrics and the epoch routing; the spec itself

@@ -23,8 +23,9 @@
 // time (the Service guarantees this by construction: one driver per shard).
 //
 // drain() runs the stage graph (skew pre-pass -> placement -> flow
-// generation) for every pending query concurrently on util::parallel — the
-// contexts are independent, results land in submission order, and every
+// generation) for every pending plan-cache miss concurrently on
+// util::parallel — the contexts are independent, results land in submission
+// order, and every
 // registered scheduler is deterministic, so a drain is reproducible
 // bit-for-bit regardless of thread count — then registers all coflows in one
 // simulator and runs the epoch to completion. A session may interleave
@@ -100,7 +101,10 @@ struct EngineOptions {
   /// Fault schedule injected into every drained epoch (empty = none).
   net::FaultSchedule faults;
   net::FaultOptions fault_options;
-  /// Worker threads for the placement fan-out (0 = hardware concurrency).
+  /// Most threads, the draining one included, that take part in one drain's
+  /// placement fan-out over its plan-cache misses (0 = hardware
+  /// concurrency). A cap on participants from the process-wide
+  /// util::parallel_for pool: it spawns nothing.
   std::size_t placement_threads = 0;
   /// Plan-cache entries kept per session (0 disables the cache). Eviction is
   /// wholesale — when the table is full the next insert clears it — which is
@@ -283,6 +287,9 @@ class Engine {
   /// The epoch being drained (single-consumer; see drain()). A member so the
   /// swap in drain_into recycles both vectors' capacity across epochs.
   std::vector<RunContext> drain_batch_;
+  /// Batch indices of the epoch's plan-cache misses: the only contexts the
+  /// stage fan-out visits (recycled across drains like drain_batch_).
+  std::vector<std::size_t> drain_misses_;
   std::unordered_map<PlanKey, PlanEntry, PlanKeyHash> plan_cache_;
   /// Simulator scratch recycled across drains: reset at each drain boundary,
   /// so steady-state epochs run their SoA columns and link tables out of the

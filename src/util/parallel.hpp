@@ -1,9 +1,19 @@
 // Minimal task parallelism for embarrassingly parallel work (CP.4: think in
 // terms of tasks). Used by the benchmark harness to evaluate independent
 // sweep points concurrently, by the simulator's flow-advance loop and
-// next-event reduction, and by the optimizer fan-outs — each unit of work
-// owns all of its state, so no synchronization beyond the index counter is
-// needed.
+// next-event reduction, by the Engine's placement fan-out and by the
+// optimizer fan-outs — each unit of work owns all of its state, so no
+// synchronization beyond the index counter is needed.
+//
+// Every call runs on one persistent, process-wide pool, created on first use
+// with hardware_concurrency - 1 workers; no call creates a thread. The
+// calling thread takes part in its own job, so a call completes even when
+// every worker is busy with other callers' jobs, and it waits only for units
+// some thread has already claimed. Idle workers block on a condition
+// variable. `threads` caps the participants of one call (caller included;
+// 0 = hardware concurrency), and the pool size caps them too. A call made on
+// a pool worker — a nested fan-out such as Engine -> placement -> B&B — runs
+// inline on that worker, in ascending index order.
 //
 // The entry points are templates that capture the callable by reference and
 // hand the backend a single raw function pointer + context pointer, so the
@@ -36,10 +46,11 @@ void parallel_ranges(std::size_t count, std::size_t grain, RangeFn fn,
 
 }  // namespace detail
 
-/// Run fn(i) for every i in [0, count) on up to `threads` worker threads
-/// (0 = hardware concurrency). Blocks until all iterations finish. The first
-/// exception thrown by any iteration is rethrown on the calling thread after
-/// the pool drains. fn must be safe to invoke concurrently for distinct i.
+/// Run fn(i) for every i in [0, count) on up to `threads` participating
+/// threads (0 = hardware concurrency). Blocks until all iterations finish.
+/// The first exception thrown by any iteration is rethrown on the calling
+/// thread after every iteration has run. fn must be safe to invoke
+/// concurrently for distinct i.
 template <typename F>
   requires std::is_invocable_v<F&, std::size_t>
 void parallel_for(std::size_t count, F&& fn, std::size_t threads = 0) {
@@ -54,10 +65,10 @@ void parallel_for(std::size_t count, F&& fn, std::size_t threads = 0) {
 /// consecutive indices, avoiding per-index dispatch on hot loops. Chunk k
 /// always covers [k*grain, min((k+1)*grain, count)), so a caller may map
 /// `begin / grain` to a stable per-chunk scratch slot. With one effective
-/// thread the chunks run sequentially in ascending order. `grain` == 0 is
-/// invalid (throws std::invalid_argument). Exception propagation matches the
-/// per-index overload: the first exception thrown by any chunk is rethrown
-/// after all workers drain.
+/// thread, or on a pool worker, the chunks run sequentially in ascending
+/// order. `grain` == 0 is invalid (throws std::invalid_argument). Exception
+/// propagation matches the per-index overload: the first exception thrown by
+/// any chunk is rethrown after every chunk has run.
 template <typename F>
   requires std::is_invocable_v<F&, std::size_t, std::size_t>
 void parallel_for(std::size_t count, std::size_t grain, F&& fn,
@@ -71,10 +82,11 @@ void parallel_for(std::size_t count, std::size_t grain, F&& fn,
       const_cast<std::remove_const_t<Fn>*>(std::addressof(fn)), threads);
 }
 
-/// Worker threads a parallel_for with `requested` threads will actually use
-/// for unbounded work: `requested`, or hardware concurrency when 0 (minimum
-/// 1). Callers sizing a task fan-out (e.g. the branch-and-bound subtree
-/// split) use this to know the real pool width before submitting.
+/// Participants a parallel_for with `requested` threads asks for on
+/// unbounded work: `requested`, or hardware concurrency when 0 (minimum 1).
+/// The pool never runs one call on more than hardware concurrency threads.
+/// Callers sizing a task fan-out (e.g. the branch-and-bound subtree split)
+/// use this to know the width before submitting.
 std::size_t effective_threads(std::size_t requested = 0) noexcept;
 
 /// Number of chunks the chunked overload will execute: ceil(count / grain).

@@ -12,6 +12,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -146,6 +147,62 @@ TEST(SessionReuseDetails, PlanCacheOnlyChangesTheWallClock) {
   EXPECT_EQ(without_cache.stats().plan_hits, 0u);
   EXPECT_EQ(without_cache.stats().plan_misses, 8u);
   EXPECT_EQ(with_cache.stats().plan_hits, 6u);
+}
+
+/// Submits (workload index, placement policy) pairs in the given order.
+void submit_queries(
+    Engine& engine,
+    const std::vector<std::shared_ptr<const data::Workload>>& workloads,
+    const std::vector<std::pair<std::size_t, std::string>>& queries) {
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const auto& [w, scheduler] = queries[q];
+    engine.submit(QuerySpec("q" + std::to_string(q), workloads[w], scheduler,
+                            0.05 * static_cast<double>(q)));
+  }
+}
+
+TEST(SessionReuseDetails, MixedHitMissEpochMatchesFreshSession) {
+  // The drain fans out over the plan-cache misses only; the hits' slots must
+  // still report in submission order, bit-identical to a cold session.
+  EngineOptions opts;
+  opts.nodes = 4;
+  Engine session(opts);
+  const auto workloads = prepared_set(4);
+  submit_queries(session, workloads, {{0, "ccf"}, {2, "mini"}});
+  session.drain();
+
+  const std::vector<std::pair<std::size_t, std::string>> mixed = {
+      {0, "ccf"}, {1, "hash"}, {2, "mini"}, {3, "ccf"}};
+  submit_queries(session, workloads, mixed);
+  const EngineReport lived = session.drain();
+  EXPECT_EQ(session.stats().plan_hits, 2u);
+  EXPECT_EQ(session.stats().plan_misses, 4u);
+  EXPECT_EQ(lived.queries[0].schedule_seconds, 0.0);
+  EXPECT_EQ(lived.queries[2].schedule_seconds, 0.0);
+
+  Engine fresh(opts);
+  submit_queries(fresh, workloads, mixed);
+  expect_identical_numbers(lived, fresh.drain());
+}
+
+TEST(SessionReuseDetails, AllHitEpochMatchesFreshSession) {
+  EngineOptions opts;
+  opts.nodes = 4;
+  Engine session(opts);
+  const auto workloads = prepared_set(4);
+  const std::vector<std::pair<std::size_t, std::string>> queries = {
+      {3, "hash"}, {0, "ccf"}, {2, "mini"}, {1, "ccf"}};
+  submit_queries(session, workloads, queries);
+  session.drain();
+
+  submit_queries(session, workloads, queries);
+  const EngineReport hot = session.drain();
+  EXPECT_EQ(session.stats().plan_hits, 4u);
+  EXPECT_EQ(session.stats().plan_misses, 4u);
+
+  Engine fresh(opts);
+  submit_queries(fresh, workloads, queries);
+  expect_identical_numbers(hot, fresh.drain());
 }
 
 TEST(SessionReuseDetails, SteadyStateEpochsDoNotGrowTheArena) {

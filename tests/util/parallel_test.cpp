@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -184,6 +187,152 @@ TEST(ParallelReduce, RejectsZeroGrain) {
                    10, 0, 0.0, [](std::size_t, std::size_t) { return 0.0; },
                    [](double a, double b) { return a + b; }),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// The persistent pool's contract (util/parallel.hpp header comment).
+
+/// Distinct serial per OS thread that ever calls it: a thread created per
+/// call shows up as a fresh serial even when the OS recycles thread ids.
+std::size_t thread_serial() {
+  static std::atomic<std::size_t> next{0};
+  thread_local const std::size_t serial = next.fetch_add(1);
+  return serial;
+}
+
+TEST(ParallelPool, NestedCallFromAWorkerRunsInline) {
+  const std::size_t caller = thread_serial();
+  constexpr std::size_t kOuter = 16;
+  constexpr std::size_t kInner = 32;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  std::atomic<std::size_t> on_workers{0};
+  std::atomic<bool> inline_everywhere{true};
+  parallel_for(
+      kOuter,
+      [&](std::size_t o) {
+        // Long enough that idle workers join before the caller drains it.
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        const std::size_t outer = thread_serial();
+        std::vector<std::size_t> order;
+        std::vector<std::size_t> serials;
+        std::mutex m;
+        parallel_for(
+            kInner,
+            [&](std::size_t i) {
+              ++hits[o * kInner + i];
+              const std::scoped_lock lock(m);
+              order.push_back(i);
+              serials.push_back(thread_serial());
+            },
+            4);
+        if (outer == caller) return;  // the caller's own nested call may fan out
+        ++on_workers;
+        std::vector<std::size_t> ascending(kInner);
+        std::iota(ascending.begin(), ascending.end(), 0);
+        if (order != ascending ||
+            std::any_of(serials.begin(), serials.end(),
+                        [&](std::size_t s) { return s != outer; })) {
+          inline_everywhere = false;
+        }
+      },
+      4);
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+  EXPECT_TRUE(inline_everywhere.load());
+  if (effective_threads() > 1) EXPECT_GT(on_workers.load(), 0u);
+}
+
+TEST(ParallelPool, ConcurrentCallersGetExactResults) {
+  constexpr std::size_t kCallers = 4;
+  constexpr std::size_t kCalls = 1000;
+  std::vector<std::size_t> wrong(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (std::size_t call = 0; call < kCalls; ++call) {
+        const std::size_t count = 1 + (call * 7 + c) % 97;
+        std::vector<std::size_t> out(count, 0);
+        parallel_for(count, [&](std::size_t i) { out[i] = i * (c + 1); });
+        const std::size_t sum = parallel_reduce(
+            count, 5, std::size_t{0},
+            [&](std::size_t b, std::size_t e) {
+              std::size_t s = 0;
+              for (std::size_t i = b; i < e; ++i) s += out[i];
+              return s;
+            },
+            [](std::size_t a, std::size_t b) { return a + b; });
+        if (sum != (c + 1) * count * (count - 1) / 2) ++wrong[c];
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(wrong, std::vector<std::size_t>(kCallers, 0));
+}
+
+TEST(ParallelPool, ExceptionsStayWithTheirOwnJob) {
+  constexpr std::size_t kCalls = 500;
+  std::atomic<std::size_t> thrown{0};
+  std::atomic<std::size_t> leaked{0};
+  std::thread thrower([&] {
+    for (std::size_t call = 0; call < kCalls; ++call) {
+      try {
+        parallel_for(64, [](std::size_t i) {
+          if (i % 16 == 3) throw std::runtime_error("thrower");
+        });
+      } catch (const std::runtime_error&) {
+        ++thrown;
+      }
+    }
+  });
+  std::thread clean([&] {
+    for (std::size_t call = 0; call < kCalls; ++call) {
+      try {
+        std::atomic<std::size_t> visited{0};
+        parallel_for(64, [&](std::size_t) { ++visited; });
+        if (visited.load() != 64) ++leaked;
+      } catch (...) {
+        ++leaked;
+      }
+    }
+  });
+  thrower.join();
+  clean.join();
+  EXPECT_EQ(thrown.load(), kCalls);
+  EXPECT_EQ(leaked.load(), 0u);
+}
+
+TEST(ParallelPool, OneCallStaysWithinItsThreadCap) {
+  for (const std::size_t threads : {1UL, 2UL, 3UL}) {
+    std::mutex m;
+    std::vector<std::size_t> serials;
+    parallel_for(
+        256,
+        [&](std::size_t) {
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+          const std::scoped_lock lock(m);
+          serials.push_back(thread_serial());
+        },
+        threads);
+    std::sort(serials.begin(), serials.end());
+    serials.erase(std::unique(serials.begin(), serials.end()), serials.end());
+    EXPECT_LE(serials.size(), threads) << "threads " << threads;
+  }
+}
+
+TEST(ParallelPool, RepeatedCallsCreateNoThreads) {
+  std::mutex m;
+  std::vector<std::size_t> serials;
+  for (int call = 0; call < 10'000; ++call) {
+    parallel_for(8, [&](std::size_t) {
+      const std::size_t s = thread_serial();
+      const std::scoped_lock lock(m);
+      if (std::find(serials.begin(), serials.end(), s) == serials.end()) {
+        serials.push_back(s);
+      }
+    });
+  }
+  EXPECT_LE(serials.size(), effective_threads());
 }
 
 TEST(ParallelReduce, PropagatesExceptions) {
