@@ -1,6 +1,7 @@
 #include "core/concurrent.hpp"
 
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -51,9 +52,8 @@ ConcurrentReport run_concurrent_operators(
     for (const RunContext& ctx : contexts) {
       const PreparedInput& in = *ctx.prepared;
       for (std::size_t k = 0; k < in.residual.partitions(); ++k, ++row) {
-        for (std::size_t i = 0; i < n; ++i) {
-          stacked.set(row, i, in.residual.h(k, i));
-        }
+        const std::span<const double> chunks = in.residual.partition_row(k);
+        for (std::size_t i = 0; i < n; ++i) stacked.set(row, i, chunks[i]);
       }
       for (std::size_t i = 0; i < n; ++i) {
         joint_problem.initial_egress[i] += in.initial_egress[i];

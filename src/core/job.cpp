@@ -27,6 +27,8 @@ JobReport run_job(const std::vector<OperatorSpec>& operators,
   eopts.nodes = n;
   eopts.port_rate = options.port_rate;
   eopts.allocator = options.allocator;
+  // Drained once, then destroyed: a memoized plan could never be hit.
+  eopts.plan_cache_capacity = 0;
   Engine engine(std::move(eopts));
   for (const OperatorSpec& op : operators) {
     QuerySpec query(op.name, data::generate_workload(op.workload),

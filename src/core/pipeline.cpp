@@ -35,6 +35,9 @@ RunReport run_pipeline(const data::Workload& workload,
   eopts.topology = options.topology;
   eopts.routing = options.routing;
   eopts.placement_threads = 1;  // one query: nothing to fan out
+  // The session drains once and dies, so a memoized plan (a copy of the
+  // whole flow list) could never be hit.
+  eopts.plan_cache_capacity = 0;
   Engine engine(std::move(eopts));
 
   QuerySpec query;

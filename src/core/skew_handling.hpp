@@ -6,7 +6,9 @@
 // v0_{ij} become the *initial status* of the coflow and the initial loads of
 // the optimization model (constraint (1.2') in the paper), and the chunk
 // matrix handed to the placement scheduler is the residual h' without the
-// pinned hot bytes.
+// pinned hot bytes. Only the hot partition's row differs from the workload's
+// matrix, so h' is a view of that matrix plus one rewritten row
+// (data::ChunkView), never a p x n copy.
 #pragma once
 
 #include "data/workload.hpp"
@@ -15,9 +17,10 @@
 
 namespace ccf::core {
 
-/// Scheduler-ready input after the (optional) skew pre-pass.
+/// Scheduler-ready input after the (optional) skew pre-pass. It views the
+/// workload's matrix: keep the workload alive while this is in use.
 struct PreparedInput {
-  data::ChunkMatrix residual;     ///< h': matrix the scheduler optimizes
+  data::ChunkView residual;       ///< h': rows the scheduler optimizes
   net::FlowMatrix initial_flows;  ///< v0: broadcast flows seeding the coflow
   std::vector<double> initial_egress;   ///< per-node bytes of v0 leaving
   std::vector<double> initial_ingress;  ///< per-node bytes of v0 entering
@@ -28,8 +31,8 @@ struct PreparedInput {
   double broadcast_removed_bytes = 0.0;
   bool skew_handled = false;
 
-  /// View as the optimization problem of model (3) + skew extension.
-  /// The returned problem references `residual`; keep *this alive.
+  /// View as the optimization problem of model (3) + skew extension. The
+  /// returned problem views the same rows as `residual`.
   opt::AssignmentProblem problem() const;
 };
 
@@ -37,5 +40,9 @@ struct PreparedInput {
 /// otherwise pass the workload through unchanged (Hash's configuration).
 PreparedInput apply_partial_duplication(const data::Workload& workload,
                                         bool enable);
+/// The result views the workload's matrix, so a temporary workload would
+/// leave it dangling.
+PreparedInput apply_partial_duplication(const data::Workload&& workload,
+                                        bool enable) = delete;
 
 }  // namespace ccf::core

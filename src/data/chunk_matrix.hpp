@@ -8,6 +8,8 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -61,5 +63,60 @@ class ChunkMatrix {
 /// Max absolute elementwise difference between two same-shape matrices
 /// (used by tests comparing tuple-level and analytic builds).
 double max_abs_diff(const ChunkMatrix& a, const ChunkMatrix& b);
+
+/// Read-only rows of a ChunkMatrix, optionally with one partition's row
+/// replaced. This is how the placement layer reads h_{ik}: a plain matrix,
+/// or partial duplication's residual (core/skew_handling), which differs from
+/// the workload's matrix in the hot partition's row only and so is this view
+/// plus that one row instead of a p x n copy.
+///
+/// The view does not own the matrix; keep the matrix alive while the view is
+/// in use. A view of a temporary matrix does not compile. The replacement
+/// row is shared between copies, so copying a view is cheap.
+class ChunkView {
+ public:
+  /// A view of nothing (AssignmentProblem::validate rejects it).
+  ChunkView() = default;
+  /// All rows of `base`. Implicit, like the pointer form, so a ChunkMatrix
+  /// is accepted wherever rows are read.
+  ChunkView(const ChunkMatrix& base) noexcept : base_(&base) {}
+  ChunkView(const ChunkMatrix* base) noexcept : base_(base) {}
+  ChunkView(const ChunkMatrix&&) = delete;
+  /// `base` with partition `row`'s chunks replaced by `values`, which must
+  /// hold one entry per node. Throws std::invalid_argument otherwise.
+  ChunkView(const ChunkMatrix& base, std::size_t row,
+            std::vector<double> values);
+  ChunkView(const ChunkMatrix&&, std::size_t, std::vector<double>) = delete;
+
+  /// False for a view of nothing.
+  explicit operator bool() const noexcept { return base_ != nullptr; }
+
+  std::size_t partitions() const noexcept { return base_->partitions(); }
+  std::size_t nodes() const noexcept { return base_->nodes(); }
+
+  /// All chunk sizes of partition k (one per node), contiguous.
+  std::span<const double> partition_row(std::size_t k) const noexcept {
+    return k == row_ ? std::span<const double>(*values_)
+                     : base_->partition_row(k);
+  }
+  double h(std::size_t k, std::size_t i) const noexcept {
+    return partition_row(k)[i];
+  }
+
+  /// The aggregates of ChunkMatrix, over the viewed rows.
+  double partition_total(std::size_t k) const noexcept;
+  double partition_max(std::size_t k) const noexcept;
+  double total() const noexcept;
+
+  /// Same shape and the same value in every entry.
+  friend bool operator==(const ChunkView& a, const ChunkView& b) noexcept;
+
+ private:
+  static constexpr std::size_t kNoRow = std::numeric_limits<std::size_t>::max();
+
+  const ChunkMatrix* base_ = nullptr;
+  std::size_t row_ = kNoRow;
+  std::shared_ptr<const std::vector<double>> values_;
+};
 
 }  // namespace ccf::data

@@ -4,12 +4,12 @@
 
 namespace ccf::join {
 
-net::FlowMatrix assignment_flows(const data::ChunkMatrix& matrix,
+net::FlowMatrix assignment_flows(const data::ChunkView& matrix,
                                  std::span<const std::uint32_t> dest) {
   return assignment_flows(matrix, dest, net::FlowMatrix(matrix.nodes()));
 }
 
-net::FlowMatrix assignment_flows(const data::ChunkMatrix& matrix,
+net::FlowMatrix assignment_flows(const data::ChunkView& matrix,
                                  std::span<const std::uint32_t> dest,
                                  const net::FlowMatrix& initial) {
   if (dest.size() != matrix.partitions()) {
@@ -25,9 +25,9 @@ net::FlowMatrix assignment_flows(const data::ChunkMatrix& matrix,
     if (d >= n) {
       throw std::invalid_argument("assignment_flows: destination out of range");
     }
+    const std::span<const double> row = matrix.partition_row(k);
     for (std::size_t i = 0; i < n; ++i) {
-      const double h = matrix.h(k, i);
-      if (h > 0.0) flows.add(i, d, h);
+      if (row[i] > 0.0) flows.add(i, d, row[i]);
     }
   }
   return flows;

@@ -13,11 +13,11 @@ namespace ccf::join {
 
 /// Aggregate flow matrix induced by an assignment: node i sends h_{ik} to
 /// dest[k] for every partition k (diagonal = local moves, zero traffic).
-net::FlowMatrix assignment_flows(const data::ChunkMatrix& matrix,
+net::FlowMatrix assignment_flows(const data::ChunkView& matrix,
                                  std::span<const std::uint32_t> dest);
 
 /// Same, starting from pre-existing flows (the skew handler's broadcasts).
-net::FlowMatrix assignment_flows(const data::ChunkMatrix& matrix,
+net::FlowMatrix assignment_flows(const data::ChunkView& matrix,
                                  std::span<const std::uint32_t> dest,
                                  const net::FlowMatrix& initial);
 

@@ -1,90 +1,21 @@
 #include "join/hetero_scheduler.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-#include <vector>
+
+#include "opt/greedy.hpp"
 
 namespace ccf::join {
 
 Assignment HeteroCcfScheduler::schedule(const AssignmentProblem& problem) {
   problem.validate();
-  const data::ChunkMatrix& m = *problem.matrix;
-  const net::Fabric& fabric = *fabric_;
-  const std::size_t n = m.nodes();
-  if (n != fabric.nodes()) {
+  if (problem.nodes() != fabric_->nodes()) {
     throw std::invalid_argument(
         "HeteroCcfScheduler: matrix nodes != fabric nodes");
   }
-  const std::size_t p = m.partitions();
-
-  std::vector<std::uint32_t> order(p);
-  for (std::size_t k = 0; k < p; ++k) order[k] = static_cast<std::uint32_t>(k);
-  std::stable_sort(order.begin(), order.end(),
-                   [&m](std::uint32_t a, std::uint32_t b) {
-                     return m.partition_max(a) > m.partition_max(b);
-                   });
-
-  // Loads kept in bytes; comparisons normalized to seconds via capacities.
-  std::vector<double> egress(n), ingress(n), ecap(n), icap(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    egress[i] = problem.initial_egress_at(i);
-    ingress[i] = problem.initial_ingress_at(i);
-    ecap[i] = fabric.egress_capacity(i);
-    icap[i] = fabric.ingress_capacity(i);
-  }
-
-  Assignment dest(p, 0);
-  for (const std::uint32_t k : order) {
-    const double sk = m.partition_total(k);
-
-    // Top-2 of normalized egress-if-sending and of normalized ingress.
-    double eg_max = -1.0, eg_second = -1.0;
-    std::size_t eg_arg = 0;
-    double in_max = -1.0, in_second = -1.0;
-    std::size_t in_arg = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double e = (egress[i] + m.h(k, i)) / ecap[i];
-      if (e > eg_max) {
-        eg_second = eg_max;
-        eg_max = e;
-        eg_arg = i;
-      } else if (e > eg_second) {
-        eg_second = e;
-      }
-      const double in = ingress[i] / icap[i];
-      if (in > in_max) {
-        in_second = in_max;
-        in_max = in;
-        in_arg = i;
-      } else if (in > in_second) {
-        in_second = in;
-      }
-    }
-
-    double best_t = 0.0;
-    std::uint32_t best_d = 0;
-    bool first = true;
-    for (std::uint32_t d = 0; d < n; ++d) {
-      const double egress_part =
-          std::max(d == eg_arg ? eg_second : eg_max, egress[d] / ecap[d]);
-      const double ingress_part =
-          std::max(d == in_arg ? in_second : in_max,
-                   (ingress[d] + (sk - m.h(k, d))) / icap[d]);
-      const double t = std::max(egress_part, ingress_part);
-      if (first || t < best_t) {
-        best_t = t;
-        best_d = d;
-        first = false;
-      }
-    }
-
-    dest[k] = best_d;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i != best_d) egress[i] += m.h(k, i);
-    }
-    ingress[best_d] += sk - m.h(k, best_d);
-  }
-  return dest;
+  // Loads stay in bytes; the kernel compares them in seconds.
+  return opt::greedy(problem, opt::PartitionStats(problem.matrix),
+                     {.egress_capacity = fabric_->egress_capacities(),
+                      .ingress_capacity = fabric_->ingress_capacities()});
 }
 
 }  // namespace ccf::join

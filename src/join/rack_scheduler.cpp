@@ -1,38 +1,18 @@
 #include "join/rack_scheduler.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
+#include "opt/bounds.hpp"
+#include "opt/greedy.hpp"
+
 namespace ccf::join {
-
-namespace {
-
-// Top-2 tracker over a family of candidate-dependent values.
-struct Top2 {
-  double max = -1.0;
-  double second = -1.0;
-  std::size_t arg = 0;
-
-  void feed(double v, std::size_t idx) noexcept {
-    if (v > max) {
-      second = max;
-      max = v;
-      arg = idx;
-    } else if (v > second) {
-      second = v;
-    }
-  }
-  double excluding(std::size_t idx) const noexcept {
-    return idx == arg ? second : max;
-  }
-};
-
-}  // namespace
 
 Assignment RackCcfScheduler::schedule(const AssignmentProblem& problem) {
   problem.validate();
-  const data::ChunkMatrix& m = *problem.matrix;
+  const data::ChunkView& m = problem.matrix;
   const net::RackFabric& topo = *topology_;
   const std::size_t n = m.nodes();
   if (n != topo.nodes()) {
@@ -44,20 +24,11 @@ Assignment RackCcfScheduler::schedule(const AssignmentProblem& problem) {
   const double ce = topo.host_rate();
   const double cu = topo.uplink_rate();
 
-  // Partition order: descending max chunk, as in Algorithm 1.
-  std::vector<std::uint32_t> order(p);
-  for (std::size_t k = 0; k < p; ++k) order[k] = static_cast<std::uint32_t>(k);
-  std::stable_sort(order.begin(), order.end(),
-                   [&m](std::uint32_t a, std::uint32_t b) {
-                     return m.partition_max(a) > m.partition_max(b);
-                   });
+  const opt::PartitionStats stats(m);
 
   // Running loads in bytes.
-  std::vector<double> egress(n), ingress(n), up_out(r, 0.0), up_in(r, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    egress[i] = problem.initial_egress_at(i);
-    ingress[i] = problem.initial_ingress_at(i);
-  }
+  auto [egress, ingress] = opt::initial_loads(problem);
+  std::vector<double> up_out(r, 0.0), up_in(r, 0.0);
   if (initial_flows_ != nullptr) {
     if (initial_flows_->nodes() != n) {
       throw std::invalid_argument("RackCcfScheduler: initial flows size");
@@ -79,25 +50,27 @@ Assignment RackCcfScheduler::schedule(const AssignmentProblem& problem) {
 
   std::vector<double> rack_mass(r);  // per-partition bytes per rack
   Assignment dest(p, 0);
-  for (const std::uint32_t k : order) {
-    const double sk = m.partition_total(k);
+  // Partition order: descending max chunk, as in Algorithm 1.
+  for (const std::uint32_t k : opt::descending_order(stats.max)) {
+    const double sk = stats.total[k];
+    const std::span<const double> row = m.partition_row(k);
     std::fill(rack_mass.begin(), rack_mass.end(), 0.0);
     for (std::size_t i = 0; i < n; ++i) {
-      rack_mass[topo.rack_of(i)] += m.h(k, i);
+      rack_mass[topo.rack_of(i)] += row[i];
     }
 
     // Candidate-independent top-2s (normalized to seconds by capacity).
-    Top2 t_egress;   // (egress_i + h_i)/ce over hosts
-    Top2 t_ingress;  // ingress_j/ce over hosts
+    opt::Top2 t_egress;   // (egress_i + h_i)/ce over hosts
+    opt::Top2 t_ingress;  // ingress_j/ce over hosts
     for (std::size_t i = 0; i < n; ++i) {
-      t_egress.feed((egress[i] + m.h(k, i)) / ce, i);
-      t_ingress.feed(ingress[i] / ce, i);
+      t_egress.feed(i, (egress[i] + row[i]) / ce);
+      t_ingress.feed(i, ingress[i] / ce);
     }
-    Top2 t_up_out;  // (up_out_r + rack_mass_r)/cu over racks
-    Top2 t_up_in;   // up_in_r/cu over racks
+    opt::Top2 t_up_out;  // (up_out_r + rack_mass_r)/cu over racks
+    opt::Top2 t_up_in;   // up_in_r/cu over racks
     for (std::size_t rr = 0; rr < r; ++rr) {
-      t_up_out.feed((up_out[rr] + rack_mass[rr]) / cu, rr);
-      t_up_in.feed(up_in[rr] / cu, rr);
+      t_up_out.feed(rr, (up_out[rr] + rack_mass[rr]) / cu);
+      t_up_in.feed(rr, up_in[rr] / cu);
     }
 
     double best_t = 0.0;
@@ -110,7 +83,7 @@ Assignment RackCcfScheduler::schedule(const AssignmentProblem& problem) {
       // Host ingress: d gains S_k - h_dk.
       const double in =
           std::max(t_ingress.excluding(d),
-                   (ingress[d] + (sk - m.h(k, d))) / ce);
+                   (ingress[d] + (sk - row[d])) / ce);
       // Uplink out: every rack other than rd ships its whole rack mass up;
       // rd's uplink is untouched by this partition.
       const double uo = std::max(t_up_out.excluding(rd), up_out[rd] / cu);
@@ -129,9 +102,9 @@ Assignment RackCcfScheduler::schedule(const AssignmentProblem& problem) {
     const std::size_t rd = topo.rack_of(best_d);
     dest[k] = best_d;
     for (std::size_t i = 0; i < n; ++i) {
-      if (i != best_d) egress[i] += m.h(k, i);
+      if (i != best_d) egress[i] += row[i];
     }
-    ingress[best_d] += sk - m.h(k, best_d);
+    ingress[best_d] += sk - row[best_d];
     for (std::size_t rr = 0; rr < r; ++rr) {
       if (rr != rd) up_out[rr] += rack_mass[rr];
     }

@@ -8,8 +8,8 @@
 //            uplink-out_r/cu,  uplink-in_r/cu )        (normalized seconds)
 //
 // This scheduler runs the same greedy as Algorithm 1 but scores every
-// candidate destination against all four link families, in O(p·(n + r))
-// total via the same top-2 trick. With oversubscription 1.0 the uplinks can
+// candidate destination against all four link families, in O(n + r) per
+// placement via the same top-2 trick (O(p log p + p·(n + r)) in total). With oversubscription 1.0 the uplinks can
 // still bind (a rack's aggregate traffic exceeding its uplink), so this can
 // beat the flat heuristic even on full-bisection rack fabrics.
 #pragma once

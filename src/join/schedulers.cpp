@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "opt/bounds.hpp"
+#include "opt/greedy.hpp"
 #include "opt/local_search.hpp"
 #include "util/rng.hpp"
 
@@ -22,74 +22,20 @@ Assignment HashScheduler::schedule(const AssignmentProblem& problem) {
 
 Assignment MiniScheduler::schedule(const AssignmentProblem& problem) {
   problem.validate();
-  const data::ChunkMatrix& m = *problem.matrix;
-  Assignment dest(m.partitions());
-  for (std::size_t k = 0; k < dest.size(); ++k) {
-    dest[k] = static_cast<std::uint32_t>(m.partition_argmax(k));
-  }
-  return dest;
+  const opt::PartitionStats stats(problem.matrix);
+  return Assignment(stats.arg_max.begin(), stats.arg_max.end());
 }
 
 Assignment CcfScheduler::schedule(const AssignmentProblem& problem) {
   problem.validate();
-  const data::ChunkMatrix& m = *problem.matrix;
-  const std::size_t n = m.nodes();
-  const std::size_t p = m.partitions();
-
-  // Algorithm 1 line 1: partitions in descending max-chunk order.
-  std::vector<std::uint32_t> order(p);
-  for (std::size_t k = 0; k < p; ++k) order[k] = static_cast<std::uint32_t>(k);
-  std::stable_sort(order.begin(), order.end(),
-                   [&m](std::uint32_t a, std::uint32_t b) {
-                     return m.partition_max(a) > m.partition_max(b);
-                   });
-
-  std::vector<double> egress(n), ingress(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    egress[i] = problem.initial_egress_at(i);
-    ingress[i] = problem.initial_ingress_at(i);
-  }
-
-  Assignment dest(p, 0);
-  for (const std::uint32_t k : order) {
-    const double sk = m.partition_total(k);
-    const std::span<const double> row = m.partition_row(k);
-
-    // Lines 4-8, done in O(n) total instead of O(n^2): for candidate d only
-    // two quantities differ from the global maxima — node d's egress stays
-    // put and node d's ingress gains (S_k - h_{dk}) — so the top-2 of
-    // (egress[i] + h_{ik}) and of ingress[] decide every candidate in O(1).
-    // The kernel is shared with local search, GRASP and the B&B child
-    // scoring (opt/bounds.hpp).
-    const opt::Top2 eg = opt::top2_sum(egress, row);
-    const opt::Top2 in = opt::top2(ingress);
-
-    double best_t = 0.0;
-    std::uint32_t best_d = 0;
-    bool first = true;
-    for (std::uint32_t d = 0; d < n; ++d) {
-      const double t = opt::placement_bottleneck(eg, in, egress[d], ingress[d],
-                                                 sk, row[d], d);
-      if (first || t < best_t) {
-        best_t = t;
-        best_d = d;
-        first = false;
-      }
-    }
-
-    // Line 9: commit the best destination and update the loads.
-    dest[k] = best_d;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i != best_d) egress[i] += row[i];
-    }
-    ingress[best_d] += sk - row[best_d];
-  }
-  return dest;
+  return opt::greedy(problem, opt::PartitionStats(problem.matrix));
 }
 
 Assignment CcfLsScheduler::schedule(const AssignmentProblem& problem) {
-  Assignment dest = CcfScheduler().schedule(problem);
-  opt::refine(problem, dest);
+  problem.validate();
+  const opt::PartitionStats stats(problem.matrix);
+  Assignment dest = opt::greedy(problem, stats);
+  opt::refine(problem, stats, dest);
   return dest;
 }
 
@@ -120,22 +66,22 @@ Assignment replace_failed_destinations(const AssignmentProblem& problem,
                                        Assignment dest,
                                        std::span<const std::uint32_t> failed) {
   problem.validate();
-  const data::ChunkMatrix& m = *problem.matrix;
+  const data::ChunkView& m = problem.matrix;
   const std::size_t n = m.nodes();
   const std::size_t p = m.partitions();
   if (dest.size() != p) {
     throw std::invalid_argument(
         "replace_failed_destinations: placement size mismatch");
   }
-  std::vector<char> dead(n, 0);
+  std::vector<char> alive(n, 1);
   for (const std::uint32_t f : failed) {
     if (f >= n) {
       throw std::invalid_argument(
           "replace_failed_destinations: failed node out of range");
     }
-    dead[f] = 1;
+    alive[f] = 0;
   }
-  if (static_cast<std::size_t>(std::count(dead.begin(), dead.end(), 1)) == n) {
+  if (std::find(alive.begin(), alive.end(), char{1}) == alive.end()) {
     throw std::invalid_argument(
         "replace_failed_destinations: every node failed");
   }
@@ -145,10 +91,10 @@ Assignment replace_failed_destinations(const AssignmentProblem& problem,
   // keeps sending — its chunks are still locally readable — so its egress
   // accrues normally; its ingress stays 0 (initial ingress there is
   // stranded, and nothing new may land on it).
-  std::vector<double> egress(n), ingress(n);
+  const opt::PartitionStats stats(m);
+  opt::LoadProfile loads = opt::initial_loads(problem);
   for (std::size_t i = 0; i < n; ++i) {
-    egress[i] = problem.initial_egress_at(i);
-    ingress[i] = dead[i] ? 0.0 : problem.initial_ingress_at(i);
+    if (!alive[i]) loads.ingress[i] = 0.0;
   }
   std::vector<std::uint32_t> affected;
   for (std::size_t k = 0; k < p; ++k) {
@@ -156,50 +102,23 @@ Assignment replace_failed_destinations(const AssignmentProblem& problem,
       throw std::invalid_argument(
           "replace_failed_destinations: placement refers to unknown node");
     }
-    if (dead[dest[k]]) {
+    if (!alive[dest[k]]) {
       affected.push_back(static_cast<std::uint32_t>(k));
       continue;
     }
     const std::span<const double> row = m.partition_row(k);
     for (std::size_t i = 0; i < n; ++i) {
-      if (i != dest[k]) egress[i] += row[i];
+      if (i != dest[k]) loads.egress[i] += row[i];
     }
-    ingress[dest[k]] += m.partition_total(k) - row[dest[k]];
+    loads.ingress[dest[k]] += stats.total[k] - row[dest[k]];
   }
-  if (affected.empty()) return dest;
 
-  // Re-place the stranded partitions with the Algorithm-1 greedy, restricted
-  // to surviving destinations. Dead nodes still participate in the top-2
+  // Re-place the stranded partitions with the Algorithm-1 kernel, restricted
+  // to surviving destinations. Dead nodes still take part in the top-2
   // egress (they send) and sit at ingress 0, which is their true ingress
   // time — nothing may flow to them.
-  std::stable_sort(affected.begin(), affected.end(),
-                   [&m](std::uint32_t a, std::uint32_t b) {
-                     return m.partition_max(a) > m.partition_max(b);
-                   });
-  for (const std::uint32_t k : affected) {
-    const double sk = m.partition_total(k);
-    const std::span<const double> row = m.partition_row(k);
-    const opt::Top2 eg = opt::top2_sum(egress, row);
-    const opt::Top2 in = opt::top2(ingress);
-    double best_t = 0.0;
-    std::uint32_t best_d = 0;
-    bool first = true;
-    for (std::uint32_t d = 0; d < n; ++d) {
-      if (dead[d]) continue;
-      const double t = opt::placement_bottleneck(eg, in, egress[d], ingress[d],
-                                                 sk, row[d], d);
-      if (first || t < best_t) {
-        best_t = t;
-        best_d = d;
-        first = false;
-      }
-    }
-    dest[k] = best_d;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i != best_d) egress[i] += row[i];
-    }
-    ingress[best_d] += sk - row[best_d];
-  }
+  opt::sort_descending(affected, stats.max);
+  opt::greedy_place(problem, stats, affected, loads, dest, {.allowed = alive});
   return dest;
 }
 

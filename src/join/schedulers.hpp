@@ -8,9 +8,11 @@
 //    traffic-optimal since partitions are independent). The paper's "Mini",
 //    standing in for track-join-style techniques.
 //  * Ccf — the paper's Algorithm 1: partitions in descending max-chunk order,
-//    each placed to minimize the current bottleneck T. O(p·n) here via
-//    incremental loads and top-2 maxima (the paper's motivation: Gurobi took
-//    >30 min at n=500, p=7500; this runs in milliseconds).
+//    each placed to minimize the current bottleneck T. The shared kernel
+//    (opt/greedy.hpp) takes O(n) per placement via incremental loads and
+//    top-2 maxima and sorts on a per-partition table built once, so the
+//    whole greedy costs O(p log p + p·n) (the paper's motivation: Gurobi took
+//    >30 min at n=500, p=7500; this runs in tens of milliseconds).
 //  * CcfLs — Ccf followed by local-search refinement (extension).
 //  * Portfolio — GRASP multi-start: parallel randomized-greedy constructions
 //    + local search across diversified seeds, never worse than CcfLs (its

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "net/network.hpp"
@@ -30,6 +31,11 @@ class Fabric : public Network {
   std::size_t nodes() const noexcept override { return egress_.size(); }
   double egress_capacity(std::size_t node) const { return egress_.at(node); }
   double ingress_capacity(std::size_t node) const { return ingress_.at(node); }
+  /// Every port's capacity, indexed by node.
+  std::span<const double> egress_capacities() const noexcept { return egress_; }
+  std::span<const double> ingress_capacities() const noexcept {
+    return ingress_;
+  }
 
   bool homogeneous() const noexcept;
   /// Capacity of the slowest port.

@@ -6,9 +6,11 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "opt/bounds.hpp"
+#include "opt/greedy.hpp"
 #include "opt/local_search.hpp"
 #include "util/parallel.hpp"
 
@@ -30,18 +32,6 @@ void sort_children(std::vector<Child>& children) {
             });
 }
 
-std::vector<std::uint32_t> partitions_by_size(const data::ChunkMatrix& m) {
-  std::vector<std::uint32_t> order(m.partitions());
-  for (std::size_t k = 0; k < m.partitions(); ++k) {
-    order[k] = static_cast<std::uint32_t>(k);
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [&m](std::uint32_t a, std::uint32_t b) {
-                     return m.partition_total(a) > m.partition_total(b);
-                   });
-  return order;
-}
-
 Clock::time_point deadline_from(double limit_s) {
   return Clock::now() + std::chrono::duration_cast<Clock::duration>(
                             std::chrono::duration<double>(limit_s));
@@ -55,7 +45,8 @@ Clock::time_point deadline_from(double limit_s) {
 
 struct RefSearch {
   const AssignmentProblem* problem;
-  const data::ChunkMatrix* m;
+  const PartitionStats* stats;
+  const data::ChunkView* m;
   std::size_t n;
   std::vector<std::uint32_t> order;  // partitions, largest first
   std::vector<double> egress;
@@ -73,7 +64,7 @@ double averaging_lower_bound(const AssignmentProblem& problem,
                              std::span<const double> ingress,
                              std::span<const std::uint32_t> unassigned,
                              double current_T) {
-  const data::ChunkMatrix& m = *problem.matrix;
+  const data::ChunkView& m = problem.matrix;
   const std::size_t n = m.nodes();
   double future_min = 0.0;
   for (const std::uint32_t k : unassigned) {
@@ -120,7 +111,7 @@ void ref_dfs(RefSearch& ctx, std::size_t depth, double current_T) {
   }
 
   const std::uint32_t k = ctx.order[depth];
-  const double sk = ctx.m->partition_total(k);
+  const double sk = ctx.stats->total[k];
 
   // Score every destination by a full O(n) rescan per candidate, then branch
   // best-first: good incumbents early tighten pruning.
@@ -160,23 +151,22 @@ void ref_dfs(RefSearch& ctx, std::size_t depth, double current_T) {
 }
 
 BnbResult solve_reference(const AssignmentProblem& problem,
+                          const PartitionStats& stats,
                           const BnbOptions& options, Assignment warm) {
-  const data::ChunkMatrix& m = *problem.matrix;
+  const data::ChunkView& m = problem.matrix;
 
   RefSearch ctx;
   ctx.problem = &problem;
+  ctx.stats = &stats;
   ctx.m = &m;
   ctx.n = m.nodes();
   ctx.options = options;
   ctx.deadline = deadline_from(options.time_limit_s);
-  ctx.order = partitions_by_size(m);
+  ctx.order = descending_order(stats.total);
 
-  ctx.egress.resize(ctx.n);
-  ctx.ingress.resize(ctx.n);
-  for (std::size_t i = 0; i < ctx.n; ++i) {
-    ctx.egress[i] = problem.initial_egress_at(i);
-    ctx.ingress[i] = problem.initial_ingress_at(i);
-  }
+  LoadProfile loads = initial_loads(problem);
+  ctx.egress = std::move(loads.egress);
+  ctx.ingress = std::move(loads.ingress);
   ctx.current.assign(m.partitions(), 0);
 
   ctx.best.dest = std::move(warm);
@@ -198,16 +188,18 @@ BnbResult solve_reference(const AssignmentProblem& problem,
 /// rare improvement writes together with the assignment they belong to.
 struct SharedSearch {
   const AssignmentProblem* problem = nullptr;
-  const data::ChunkMatrix* m = nullptr;
+  const PartitionStats* stats = nullptr;
+  const data::ChunkView* m = nullptr;
   std::size_t n = 0;
   std::vector<std::uint32_t> order;  // partitions, largest first
   std::size_t max_nodes = 0;
   Clock::time_point deadline;
 
-  // Read-only bound tables, built once per solve: the strong-prune statics,
-  // pos[k] = k's index in `order`, and per-depth suffixes over the unassigned
-  // tail — Σ rmin (water-fill volume), Σ rsecond and per-port Σ h_{jk}
-  // (argmax-concentration and egress-drain tests).
+  // Read-only bound tables, built once per solve next to `stats`: the
+  // strong-prune statics, pos[k] = k's index in `order`, and per-depth
+  // suffixes over the unassigned tail — Σ rmin (water-fill volume),
+  // Σ rsecond and per-port Σ h_{jk} (argmax-concentration and egress-drain
+  // tests).
   PruneStatics statics;
   std::vector<std::size_t> pos;
   std::vector<double> suffix_rmin;      // [depth]
@@ -324,7 +316,7 @@ void apply_move(Worker& w, std::uint32_t k, std::uint32_t d) {
   for (std::size_t i = 0; i < sh.n; ++i) {
     if (i != d) w.egress[i] += row[i];
   }
-  w.ingress[d] += sh.m->partition_total(k) - row[d];
+  w.ingress[d] += sh.stats->total[k] - row[d];
   w.current[k] = d;
 }
 
@@ -334,7 +326,7 @@ void undo_move(Worker& w, std::uint32_t k, std::uint32_t d) {
   for (std::size_t i = 0; i < sh.n; ++i) {
     if (i != d) w.egress[i] -= row[i];
   }
-  w.ingress[d] -= sh.m->partition_total(k) - row[d];
+  w.ingress[d] -= sh.stats->total[k] - row[d];
 }
 
 /// Reset the worker's loads to the problem's initial profile and re-apply a
@@ -355,7 +347,7 @@ void load_prefix(Worker& w, std::span<const std::uint32_t> prefix) {
 std::vector<Child>& score_children(Worker& w, std::size_t depth) {
   const SharedSearch& sh = *w.sh;
   const std::uint32_t k = sh.order[depth];
-  const double sk = sh.m->partition_total(k);
+  const double sk = sh.stats->total[k];
   const std::span<const double> row = sh.m->partition_row(k);
   const Top2 eg = top2_sum(w.egress, row);
   const Top2 in = top2(w.ingress);
@@ -397,13 +389,13 @@ void dfs(Worker& w, std::size_t depth, double current_T) {
   const std::span<const std::uint32_t> unassigned(sh.order.data() + depth,
                                                   sh.order.size() - depth);
   const double best_T = sh.best_T.load(std::memory_order_relaxed);
-  if (partial_lower_bound(*sh.problem, w.egress, w.ingress, unassigned,
-                          current_T, w.bounds,
+  if (partial_lower_bound(*sh.problem, *sh.stats, w.egress, w.ingress,
+                          unassigned, current_T, w.bounds,
                           sh.suffix_rmin[depth]) >= best_T) {
     return;  // prune
   }
-  if (infeasible_below(*sh.problem, sh.statics, prune_prefix(sh, w, depth),
-                       best_T)) {
+  if (infeasible_below(*sh.problem, *sh.stats, sh.statics,
+                       prune_prefix(sh, w, depth), best_T)) {
     return;  // no completion can beat the incumbent
   }
 
@@ -461,11 +453,11 @@ std::vector<SubtreeTask> enumerate_tasks(SharedSearch& sh, Worker& w,
       const std::span<const std::uint32_t> unassigned(
           sh.order.data() + depth, sh.order.size() - depth);
       const double best_T = sh.best_T.load(std::memory_order_relaxed);
-      if (partial_lower_bound(*sh.problem, w.egress, w.ingress, unassigned,
-                              task.t, w.bounds,
+      if (partial_lower_bound(*sh.problem, *sh.stats, w.egress, w.ingress,
+                              unassigned, task.t, w.bounds,
                               sh.suffix_rmin[depth]) >= best_T ||
-          infeasible_below(*sh.problem, sh.statics, prune_prefix(sh, w, depth),
-                           best_T)) {
+          infeasible_below(*sh.problem, *sh.stats, sh.statics,
+                           prune_prefix(sh, w, depth), best_T)) {
         continue;
       }
       for (const Child& c : score_children(w, depth)) {
@@ -498,20 +490,22 @@ std::vector<SubtreeTask> enumerate_tasks(SharedSearch& sh, Worker& w,
 }
 
 BnbResult solve_parallel(const AssignmentProblem& problem,
+                         const PartitionStats& stats,
                          const BnbOptions& options, Assignment warm) {
-  const data::ChunkMatrix& m = *problem.matrix;
+  const data::ChunkView& m = problem.matrix;
   const std::size_t threads = util::effective_threads(options.threads);
 
   SharedSearch sh;
   sh.problem = &problem;
+  sh.stats = &stats;
   sh.m = &m;
   sh.n = m.nodes();
-  sh.order = partitions_by_size(m);
+  sh.order = descending_order(stats.total);
   sh.max_nodes = options.max_nodes;
   sh.deadline = deadline_from(options.time_limit_s);
 
   const std::size_t p = sh.order.size();
-  sh.statics = make_prune_statics(problem);
+  sh.statics = make_prune_statics(problem, stats);
   sh.pos.resize(p);
   for (std::size_t i = 0; i < p; ++i) sh.pos[sh.order[i]] = i;
   sh.suffix_rmin.assign(p + 1, 0.0);
@@ -519,8 +513,8 @@ BnbResult solve_parallel(const AssignmentProblem& problem,
   sh.suffix_chunks.assign((p + 1) * sh.n, 0.0);
   for (std::size_t d = p; d-- > 0;) {
     const std::uint32_t k = sh.order[d];
-    sh.suffix_rmin[d] = sh.suffix_rmin[d + 1] + sh.statics.rmin[k];
-    sh.suffix_rsecond[d] = sh.suffix_rsecond[d + 1] + sh.statics.rsecond[k];
+    sh.suffix_rmin[d] = sh.suffix_rmin[d + 1] + stats.rmin(k);
+    sh.suffix_rsecond[d] = sh.suffix_rsecond[d + 1] + stats.rsecond(k);
     const std::span<const double> row = m.partition_row(k);
     for (std::size_t j = 0; j < sh.n; ++j) {
       sh.suffix_chunks[d * sh.n + j] =
@@ -566,7 +560,8 @@ BnbResult solve_parallel(const AssignmentProblem& problem,
 
 BnbResult solve_exact(const AssignmentProblem& problem, BnbOptions options) {
   problem.validate();
-  const data::ChunkMatrix& m = *problem.matrix;
+  const data::ChunkView& m = problem.matrix;
+  const PartitionStats stats(m);
 
   // Incumbent: caller-provided warm start, else the GRASP portfolio
   // (parallel mode), else the reference greedy.
@@ -581,14 +576,14 @@ BnbResult solve_exact(const AssignmentProblem& problem, BnbOptions options) {
     gopt.starts = options.grasp_starts;
     gopt.seed = options.seed;
     gopt.threads = options.threads;
-    warm = grasp(problem, gopt).dest;
+    warm = grasp(problem, stats, gopt).dest;
   } else {
     warm = greedy_reference(problem);
   }
 
   return options.mode == BnbMode::kReference
-             ? solve_reference(problem, options, std::move(warm))
-             : solve_parallel(problem, options, std::move(warm));
+             ? solve_reference(problem, stats, options, std::move(warm))
+             : solve_parallel(problem, stats, options, std::move(warm));
 }
 
 }  // namespace ccf::opt

@@ -18,19 +18,18 @@ Top2 top2_sum(std::span<const double> base,
   return t;
 }
 
-double min_partition_traffic(const data::ChunkMatrix& m, std::size_t k) {
+double min_partition_traffic(const data::ChunkView& m, std::size_t k) {
   return m.partition_total(k) - m.partition_max(k);
 }
 
-double root_lower_bound(const AssignmentProblem& problem) {
-  problem.validate();
-  const data::ChunkMatrix& m = *problem.matrix;
-  const std::size_t n = m.nodes();
+double root_lower_bound(const AssignmentProblem& problem,
+                        const PartitionStats& stats) {
+  const std::size_t n = problem.nodes();
 
   double unavoidable = 0.0;     // Σ_k minimum traffic
   double biggest_single = 0.0;  // the largest single unavoidable ingress
-  for (std::size_t k = 0; k < m.partitions(); ++k) {
-    const double t = min_partition_traffic(m, k);
+  for (std::size_t k = 0; k < problem.partitions(); ++k) {
+    const double t = stats.rmin(k);
     unavoidable += t;
     biggest_single = std::max(biggest_single, t);
   }
@@ -62,27 +61,12 @@ double water_fill_level(std::span<const double> loads, double volume,
 }
 
 double partial_lower_bound(const AssignmentProblem& problem,
-                           std::span<const double> egress,
-                           std::span<const double> ingress,
-                           std::span<const std::uint32_t> unassigned,
-                           double current_T, BoundScratch& scratch) {
-  const data::ChunkMatrix& m = *problem.matrix;
-  double future_min = 0.0;
-  for (const std::uint32_t k : unassigned) {
-    future_min += min_partition_traffic(m, k);
-  }
-  return partial_lower_bound(problem, egress, ingress, unassigned, current_T,
-                             scratch, future_min);
-}
-
-double partial_lower_bound(const AssignmentProblem& problem,
+                           const PartitionStats& stats,
                            std::span<const double> egress,
                            std::span<const double> ingress,
                            std::span<const std::uint32_t> unassigned,
                            double current_T, BoundScratch& scratch,
                            double future_min) {
-  const data::ChunkMatrix& m = *problem.matrix;
-
   // Every byte of future traffic raises both total ingress and total egress;
   // water-filling packs that volume under the committed per-port loads, which
   // is never weaker than spreading it over the n-port average.
@@ -94,8 +78,8 @@ double partial_lower_bound(const AssignmentProblem& problem,
   // unassigned partition: whichever port it picks receives S_k − h_{jk}.
   if (!unassigned.empty()) {
     const std::uint32_t k = unassigned.front();
-    const double sk = m.partition_total(k);
-    const std::span<const double> row = m.partition_row(k);
+    const double sk = stats.total[k];
+    const std::span<const double> row = problem.matrix.partition_row(k);
     double best_landing = std::numeric_limits<double>::infinity();
     for (std::size_t j = 0; j < ingress.size(); ++j) {
       best_landing = std::min(best_landing, ingress[j] + (sk - row[j]));
@@ -110,43 +94,28 @@ double partial_lower_bound(const AssignmentProblem& problem,
                            std::span<const double> ingress,
                            std::span<const std::uint32_t> unassigned,
                            double current_T) {
+  const PartitionStats stats(problem.matrix);
+  double future_min = 0.0;
+  for (const std::uint32_t k : unassigned) future_min += stats.rmin(k);
   BoundScratch scratch;
-  return partial_lower_bound(problem, egress, ingress, unassigned, current_T,
-                             scratch);
+  return partial_lower_bound(problem, stats, egress, ingress, unassigned,
+                             current_T, scratch, future_min);
 }
 
-PruneStatics make_prune_statics(const AssignmentProblem& problem) {
+PruneStatics make_prune_statics(const AssignmentProblem& problem,
+                                const PartitionStats& stats) {
   problem.validate();
-  const data::ChunkMatrix& m = *problem.matrix;
+  const data::ChunkView& m = problem.matrix;
   const std::size_t n = m.nodes();
   const std::size_t p = m.partitions();
 
   PruneStatics s;
-  s.total.resize(p);
-  s.rmin.resize(p);
-  s.rsecond.resize(p);
-  s.arg_max.resize(p);
   s.argmax_lists.resize(n);
   s.drain_lists.resize(n);
 
   for (std::size_t k = 0; k < p; ++k) {
     const std::span<const double> row = m.partition_row(k);
-    double max1 = -1.0, max2 = -1.0;
-    std::uint32_t arg = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (row[j] > max1) {
-        max2 = max1;
-        max1 = row[j];
-        arg = static_cast<std::uint32_t>(j);
-      } else if (row[j] > max2) {
-        max2 = row[j];
-      }
-    }
-    s.total[k] = m.partition_total(k);
-    s.rmin[k] = s.total[k] - max1;
-    s.rsecond[k] = s.total[k] - std::max(0.0, max2);
-    s.arg_max[k] = arg;
-    s.argmax_lists[arg].push_back(static_cast<std::uint32_t>(k));
+    s.argmax_lists[stats.arg_max[k]].push_back(static_cast<std::uint32_t>(k));
     for (std::size_t j = 0; j < n; ++j) {
       if (row[j] > 0.0) {
         s.drain_lists[j].push_back(static_cast<std::uint32_t>(k));
@@ -158,29 +127,33 @@ PruneStatics make_prune_statics(const AssignmentProblem& problem) {
     // Discount density (rsecond − rmin)/rmin descending, rmin == 0 first
     // (free capacity). Cross-multiplied to avoid dividing by zero.
     std::stable_sort(s.argmax_lists[j].begin(), s.argmax_lists[j].end(),
-                     [&s](std::uint32_t a, std::uint32_t b) {
-                       const double ga = s.rsecond[a] - s.rmin[a];
-                       const double gb = s.rsecond[b] - s.rmin[b];
-                       if (s.rmin[a] == 0.0 || s.rmin[b] == 0.0) {
-                         return s.rmin[a] == 0.0 && (s.rmin[b] > 0.0 || ga > gb);
+                     [&stats](std::uint32_t a, std::uint32_t b) {
+                       const double ra = stats.rmin(a);
+                       const double rb = stats.rmin(b);
+                       const double ga = stats.rsecond(a) - ra;
+                       const double gb = stats.rsecond(b) - rb;
+                       if (ra == 0.0 || rb == 0.0) {
+                         return ra == 0.0 && (rb > 0.0 || ga > gb);
                        }
-                       return ga * s.rmin[b] > gb * s.rmin[a];
+                       return ga * rb > gb * ra;
                      });
     // Forced-ingress ratio (S_k − h)/h ascending == h/S_k descending-ish;
     // cross-multiplied: (S_a − h_a)·h_b < (S_b − h_b)·h_a.
     std::stable_sort(s.drain_lists[j].begin(), s.drain_lists[j].end(),
-                     [&s, &m, j](std::uint32_t a, std::uint32_t b) {
+                     [&stats, &m, j](std::uint32_t a, std::uint32_t b) {
                        const double ha = m.h(a, j);
                        const double hb = m.h(b, j);
-                       return (s.total[a] - ha) * hb < (s.total[b] - hb) * ha;
+                       return (stats.total[a] - ha) * hb <
+                              (stats.total[b] - hb) * ha;
                      });
   }
   return s;
 }
 
-bool infeasible_below(const AssignmentProblem& problem, const PruneStatics& s,
+bool infeasible_below(const AssignmentProblem& problem,
+                      const PartitionStats& stats, const PruneStatics& s,
                       const PrunePrefix& v, double T) {
-  const data::ChunkMatrix& m = *problem.matrix;
+  const data::ChunkView& m = problem.matrix;
   const std::size_t n = v.ingress.size();
 
   // --- Argmax concentration -----------------------------------------------
@@ -198,8 +171,8 @@ bool infeasible_below(const AssignmentProblem& problem, const PruneStatics& s,
       double cap = std::max(0.0, T - v.ingress[j]);
       for (const std::uint32_t k : s.argmax_lists[j]) {
         if (v.pos[k] < v.depth) continue;  // already assigned
-        const double rk = s.rmin[k];
-        const double gk = s.rsecond[k] - rk;
+        const double rk = stats.rmin(k);
+        const double gk = stats.rsecond(k) - rk;
         if (rk <= cap) {
           discount += gk;
           cap -= rk;
@@ -223,7 +196,7 @@ bool infeasible_below(const AssignmentProblem& problem, const PruneStatics& s,
     for (const std::uint32_t k : s.drain_lists[j]) {
       if (v.pos[k] < v.depth) continue;
       const double h = m.h(k, j);
-      const double net = s.total[k] - h;
+      const double net = stats.total[k] - h;
       if (h >= need) {
         forced += net * (need / h);
         drained = true;

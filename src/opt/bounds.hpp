@@ -21,9 +21,9 @@ namespace ccf::opt {
 // stays put (it does not ship its own chunk) and node d's ingress gains
 // (S_k - h_{dk}). So the top-2 of (egress[i] + h_{ik}) and the top-2 of
 // ingress[] decide the bottleneck of *every* candidate d in O(1), turning the
-// naive O(n²) per-placement scan into O(n). This is the kernel behind the
-// greedy CcfScheduler, the local-search relocation step, the GRASP
-// construction, and the branch-and-bound child scoring.
+// naive O(n²) per-placement scan into O(n). This is the scoring behind the
+// Algorithm-1 kernel (opt/greedy.hpp), the local-search relocation step, and
+// the branch-and-bound child scoring.
 // ---------------------------------------------------------------------------
 
 /// Largest and second-largest values of a load vector (max >= second) and the
@@ -43,6 +43,10 @@ struct Top2 {
       second = v;
     }
   }
+  /// The largest value among entries other than i.
+  double excluding(std::size_t i) const noexcept {
+    return i == arg_max ? second : max;
+  }
 };
 
 /// Top-2 of v.
@@ -59,11 +63,8 @@ inline double placement_bottleneck(const Top2& eg, const Top2& in,
                                    double egress_d, double ingress_d,
                                    double part_total, double h_kd,
                                    std::size_t d) noexcept {
-  const double egress_max = std::max(d == eg.arg_max ? eg.second : eg.max,
-                                     egress_d);
-  const double ingress_max = std::max(d == in.arg_max ? in.second : in.max,
-                                      ingress_d + (part_total - h_kd));
-  return std::max(egress_max, ingress_max);
+  return std::max(std::max(eg.excluding(d), egress_d),
+                  std::max(in.excluding(d), ingress_d + (part_total - h_kd)));
 }
 
 // ---------------------------------------------------------------------------
@@ -75,7 +76,8 @@ inline double placement_bottleneck(const Top2& eg, const Top2& in,
 /// The spread bound: however partitions are placed, at least
 /// Σ_k (S_k − max_i h_{ik}) bytes must cross the network; adding the fixed
 /// initial loads and dividing by n bounds the bottleneck port from below.
-double root_lower_bound(const AssignmentProblem& problem);
+double root_lower_bound(const AssignmentProblem& problem,
+                        const PartitionStats& stats);
 
 /// Water-filling (per-port packing) level: the smallest T such that the free
 /// capacity under T across all ports absorbs `volume` bytes:
@@ -96,28 +98,23 @@ struct BoundScratch {
 /// exact loads (already accumulated into egress/ingress by the caller);
 /// unassigned ones at least their minimum possible traffic. Combines
 ///   * `current_T`, the bottleneck of the committed loads,
-///   * water-filling of the unavoidable future volume over the committed
-///     ingress and egress profiles (per-port packing), and
+///   * water-filling of the unavoidable future volume `future_min`
+///     (Σ PartitionStats::rmin over `unassigned`; the branch-and-bound keeps
+///     it in a per-depth suffix table) over the committed ingress and egress
+///     profiles (per-port packing), and
 ///   * the exact best-case landing of `unassigned.front()` — callers list
 ///     unassigned partitions largest-first, so the front singleton is the
 ///     strongest: min_j (ingress[j] + S_k − h_{jk}).
 double partial_lower_bound(const AssignmentProblem& problem,
-                           std::span<const double> egress,
-                           std::span<const double> ingress,
-                           std::span<const std::uint32_t> unassigned,
-                           double current_T, BoundScratch& scratch);
-
-/// Hot-path overload: `future_min` is Σ min_partition_traffic over
-/// `unassigned`, precomputed by the caller (the branch-and-bound keeps a
-/// per-depth suffix table, turning the O(u) summation into a lookup).
-double partial_lower_bound(const AssignmentProblem& problem,
+                           const PartitionStats& stats,
                            std::span<const double> egress,
                            std::span<const double> ingress,
                            std::span<const std::uint32_t> unassigned,
                            double current_T, BoundScratch& scratch,
                            double future_min);
 
-/// Convenience overload allocating its own scratch (tests, one-shot callers).
+/// Convenience overload building its own statistics, future volume and
+/// scratch (tests, one-shot callers).
 double partial_lower_bound(const AssignmentProblem& problem,
                            std::span<const double> egress,
                            std::span<const double> ingress,
@@ -126,7 +123,7 @@ double partial_lower_bound(const AssignmentProblem& problem,
 
 /// Minimum bytes partition k must put on the wire regardless of destination:
 /// S_k − max_i h_{ik}.
-double min_partition_traffic(const data::ChunkMatrix& m, std::size_t k);
+double min_partition_traffic(const data::ChunkView& m, std::size_t k);
 
 // ---------------------------------------------------------------------------
 // Strong infeasibility tests
@@ -154,17 +151,14 @@ double min_partition_traffic(const data::ChunkMatrix& m, std::size_t k);
 //    (S_k − h)/h) must still fit under T. This couples the two sides of the
 //    bottleneck and is the dominant pruner on skewed (hot-port) instances.
 //
-// Statics are built once per problem; the per-node test is allocation-free
-// and O(n + candidates walked).
+// Statics are built once per problem from its PartitionStats (r_k is
+// PartitionStats::rmin, r2_k PartitionStats::rsecond); the per-node test is
+// allocation-free and O(n + candidates walked).
 // ---------------------------------------------------------------------------
 
-/// Per-problem tables for infeasible_below. Candidate lists are sorted once
-/// so the hot path walks them in greedy order, skipping assigned partitions.
+/// Per-problem candidate lists for infeasible_below, sorted once so the hot
+/// path walks them in greedy order, skipping assigned partitions.
 struct PruneStatics {
-  std::vector<double> total;    ///< S_k
-  std::vector<double> rmin;     ///< S_k − largest chunk
-  std::vector<double> rsecond;  ///< S_k − second-largest chunk
-  std::vector<std::uint32_t> arg_max;  ///< port holding k's largest chunk
   /// argmax_lists[j]: partitions with arg_max == j, by discount density
   /// (rsecond − rmin) / rmin descending (rmin == 0 first — they cost no
   /// capacity).
@@ -174,14 +168,15 @@ struct PruneStatics {
   std::vector<std::vector<std::uint32_t>> drain_lists;
 };
 
-PruneStatics make_prune_statics(const AssignmentProblem& problem);
+PruneStatics make_prune_statics(const AssignmentProblem& problem,
+                                const PartitionStats& stats);
 
 /// A partial assignment along a static search order, as the branch-and-bound
 /// maintains it. order[0..depth) are assigned (loads already committed into
 /// egress/ingress, which include the problem's initial loads), order[depth..)
 /// are not. pos[k] is k's index in `order` (assigned iff pos[k] < depth).
 /// future_rsecond and future_chunks summarize the unassigned suffix:
-/// Σ rsecond[k] and the per-port Σ h_{jk} (suffix tables in the solver).
+/// Σ rsecond(k) and the per-port Σ h_{jk} (suffix tables in the solver).
 struct PrunePrefix {
   std::span<const double> egress;
   std::span<const double> ingress;
@@ -195,7 +190,8 @@ struct PrunePrefix {
 /// True if provably NO completion of the prefix has makespan < T. Both tests
 /// are relaxations (fractional knapsacks), so `false` says nothing — but
 /// `true` is safe to prune on.
-bool infeasible_below(const AssignmentProblem& problem, const PruneStatics& s,
+bool infeasible_below(const AssignmentProblem& problem,
+                      const PartitionStats& stats, const PruneStatics& s,
                       const PrunePrefix& v, double T);
 
 }  // namespace ccf::opt

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "opt/bounds.hpp"
+#include "opt/greedy.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -14,7 +15,14 @@ namespace ccf::opt {
 LocalSearchResult refine(const AssignmentProblem& problem, Assignment& dest,
                          LocalSearchOptions options) {
   problem.validate();
-  const data::ChunkMatrix& m = *problem.matrix;
+  return refine(problem, PartitionStats(problem.matrix), dest, options);
+}
+
+LocalSearchResult refine(const AssignmentProblem& problem,
+                         const PartitionStats& stats, Assignment& dest,
+                         LocalSearchOptions options) {
+  problem.validate();
+  const data::ChunkView& m = problem.matrix;
   const std::size_t n = m.nodes();
   const std::size_t p = m.partitions();
   if (dest.size() != p) {
@@ -24,10 +32,8 @@ LocalSearchResult refine(const AssignmentProblem& problem, Assignment& dest,
   LoadProfile loads = evaluate(problem, dest);
   LocalSearchResult result;
   result.initial_T = result.final_T = loads.makespan();
-  const double lb = root_lower_bound(problem);
-
-  std::vector<double> part_total(p);
-  for (std::size_t k = 0; k < p; ++k) part_total[k] = m.partition_total(k);
+  const double lb = root_lower_bound(problem, stats);
+  const std::vector<double>& part_total = stats.total;
 
   for (std::size_t round = 0; round < options.max_rounds; ++round) {
     ++result.rounds;
@@ -91,95 +97,13 @@ LocalSearchResult refine(const AssignmentProblem& problem, Assignment& dest,
   return result;
 }
 
-namespace {
-
-/// One greedy construction. With `rng == nullptr` this is exactly the
-/// paper's Algorithm 1 as CcfScheduler computes it (size-descending order,
-/// first-minimum destination); with an rng the sort key is perturbed and
-/// each placement picks uniformly among the `rcl` best destinations.
-Assignment construct(const AssignmentProblem& problem, util::Pcg32* rng,
-                     double sort_noise, std::size_t rcl) {
-  const data::ChunkMatrix& m = *problem.matrix;
-  const std::size_t n = m.nodes();
-  const std::size_t p = m.partitions();
-
-  std::vector<double> key(p);
-  for (std::size_t k = 0; k < p; ++k) {
-    key[k] = m.partition_max(k);
-    if (rng != nullptr) key[k] *= 1.0 + sort_noise * rng->uniform01();
-  }
-  std::vector<std::uint32_t> order(p);
-  for (std::size_t k = 0; k < p; ++k) order[k] = static_cast<std::uint32_t>(k);
-  std::stable_sort(order.begin(), order.end(),
-                   [&key](std::uint32_t a, std::uint32_t b) {
-                     return key[a] > key[b];
-                   });
-
-  std::vector<double> egress(n), ingress(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    egress[i] = problem.initial_egress_at(i);
-    ingress[i] = problem.initial_ingress_at(i);
-  }
-
-  struct Scored {
-    double t;
-    std::uint32_t d;
-  };
-  std::vector<Scored> rcl_best;  // the `rcl` best candidates, (t, d) ascending
-  rcl_best.reserve(rcl);
-
-  Assignment dest(p, 0);
-  for (const std::uint32_t k : order) {
-    const double sk = m.partition_total(k);
-    const std::span<const double> row = m.partition_row(k);
-    const Top2 eg = top2_sum(egress, row);
-    const Top2 in = top2(ingress);
-
-    std::uint32_t best_d = 0;
-    if (rng == nullptr) {
-      double best_t = 0.0;
-      bool first = true;
-      for (std::uint32_t d = 0; d < n; ++d) {
-        const double t = placement_bottleneck(eg, in, egress[d], ingress[d],
-                                              sk, row[d], d);
-        if (first || t < best_t) {
-          best_t = t;
-          best_d = d;
-          first = false;
-        }
-      }
-    } else {
-      rcl_best.clear();
-      for (std::uint32_t d = 0; d < n; ++d) {
-        const Scored s{placement_bottleneck(eg, in, egress[d], ingress[d],
-                                            sk, row[d], d),
-                       d};
-        auto pos = std::find_if(rcl_best.begin(), rcl_best.end(),
-                                [&s](const Scored& o) { return s.t < o.t; });
-        if (rcl_best.size() < rcl) {
-          rcl_best.insert(pos, s);
-        } else if (pos != rcl_best.end()) {
-          rcl_best.pop_back();
-          rcl_best.insert(pos, s);
-        }
-      }
-      best_d =
-          rcl_best[rng->bounded(static_cast<std::uint32_t>(rcl_best.size()))]
-              .d;
-    }
-
-    dest[k] = best_d;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i != best_d) egress[i] += row[i];
-    }
-    ingress[best_d] += sk - row[best_d];
-  }
-  return dest;
+GraspResult grasp(const AssignmentProblem& problem, GraspOptions options) {
+  problem.validate();
+  return grasp(problem, PartitionStats(problem.matrix), options);
 }
 
-}  // namespace
-
-GraspResult grasp(const AssignmentProblem& problem, GraspOptions options) {
+GraspResult grasp(const AssignmentProblem& problem, const PartitionStats& stats,
+                  GraspOptions options) {
   problem.validate();
   const std::size_t starts = std::max<std::size_t>(1, options.starts);
   const std::size_t rcl = std::max<std::size_t>(1, options.rcl);
@@ -192,14 +116,19 @@ GraspResult grasp(const AssignmentProblem& problem, GraspOptions options) {
   util::parallel_for(
       starts,
       [&](std::size_t s) {
+        // Start 0 is Algorithm 1 exactly; the others perturb each sort key
+        // by (1 + sort_noise·u) and pick among the rcl best destinations,
+        // all drawn from the start's own stream.
         Assignment dest;
         if (s == 0) {
-          dest = construct(problem, nullptr, 0.0, 1);
+          dest = greedy(problem, stats);
         } else {
           util::Pcg32 rng(util::derive_seed(options.seed, s), s);
-          dest = construct(problem, &rng, options.sort_noise, rcl);
+          std::vector<double> key = stats.max;
+          for (double& v : key) v *= 1.0 + options.sort_noise * rng.uniform01();
+          dest = greedy(problem, stats, {.rng = &rng, .rcl = rcl}, key);
         }
-        runs[s].T = refine(problem, dest, options.refine).final_T;
+        runs[s].T = refine(problem, stats, dest, options.refine).final_T;
         runs[s].dest = std::move(dest);
       },
       options.threads);

@@ -6,10 +6,11 @@
 // Used by the "ccf-ls" scheduler and the ablation bench.
 //
 // grasp() layers a portfolio on top: many randomized-greedy constructions
-// (noise on the sort key, restricted-candidate-list destination picks), each
-// refined by local search, run in parallel across diversified seeds. Start 0
-// is always the *deterministic* greedy construction (identical to
-// CcfScheduler) + refine, so the portfolio is never worse than "ccf-ls".
+// (noise on the sort key, restricted-candidate-list destination picks; both
+// are options of the Algorithm-1 kernel, opt/greedy.hpp), each refined by
+// local search, run in parallel across diversified seeds. Start 0 is always
+// the *deterministic* greedy construction (identical to CcfScheduler) +
+// refine, so the portfolio is never worse than "ccf-ls".
 // The best start warm-starts the exact branch-and-bound and backs the
 // "ccf-portfolio" scheduler.
 #pragma once
@@ -37,6 +38,11 @@ struct LocalSearchResult {
 };
 
 /// Refine `dest` in place. Never increases makespan.
+LocalSearchResult refine(const AssignmentProblem& problem,
+                         const PartitionStats& stats, Assignment& dest,
+                         LocalSearchOptions options = {});
+
+/// Convenience overload building its own PartitionStats.
 LocalSearchResult refine(const AssignmentProblem& problem, Assignment& dest,
                          LocalSearchOptions options = {});
 
@@ -67,7 +73,11 @@ struct GraspResult {
 };
 
 /// Run the GRASP portfolio. Deterministic in (problem, options), whatever
-/// `threads` resolves to.
+/// `threads` resolves to. Every start reads the one `stats` table.
+GraspResult grasp(const AssignmentProblem& problem, const PartitionStats& stats,
+                  GraspOptions options = {});
+
+/// Convenience overload building its own PartitionStats.
 GraspResult grasp(const AssignmentProblem& problem, GraspOptions options = {});
 
 }  // namespace ccf::opt

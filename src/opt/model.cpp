@@ -7,14 +7,40 @@
 namespace ccf::opt {
 
 void AssignmentProblem::validate() const {
-  if (matrix == nullptr) {
+  if (!matrix) {
     throw std::invalid_argument("AssignmentProblem: null matrix");
   }
-  if (!initial_egress.empty() && initial_egress.size() != matrix->nodes()) {
+  if (!initial_egress.empty() && initial_egress.size() != matrix.nodes()) {
     throw std::invalid_argument("AssignmentProblem: initial_egress size");
   }
-  if (!initial_ingress.empty() && initial_ingress.size() != matrix->nodes()) {
+  if (!initial_ingress.empty() && initial_ingress.size() != matrix.nodes()) {
     throw std::invalid_argument("AssignmentProblem: initial_ingress size");
+  }
+}
+
+PartitionStats::PartitionStats(const data::ChunkView& m)
+    : total(m.partitions()),
+      max(m.partitions()),
+      second(m.partitions()),
+      arg_max(m.partitions()) {
+  for (std::size_t k = 0; k < total.size(); ++k) {
+    // One pass: the sum in node order and the first maximum, as
+    // ChunkView::partition_total and partition_max compute them.
+    const std::span<const double> row = m.partition_row(k);
+    double sum = 0.0, max1 = row[0], max2 = 0.0;
+    for (std::size_t j = 0; j < row.size(); ++j) {
+      sum += row[j];
+      if (row[j] > max1) {
+        max2 = max1;
+        max1 = row[j];
+        arg_max[k] = static_cast<std::uint32_t>(j);
+      } else if (j > 0 && row[j] > max2) {
+        max2 = row[j];
+      }
+    }
+    total[k] = sum;
+    max[k] = max1;
+    second[k] = max2;
   }
 }
 
@@ -25,14 +51,8 @@ double LoadProfile::makespan() const noexcept {
   return t;
 }
 
-LoadProfile evaluate(const AssignmentProblem& problem,
-                     std::span<const std::uint32_t> dest) {
-  problem.validate();
-  const data::ChunkMatrix& m = *problem.matrix;
-  if (dest.size() != m.partitions()) {
-    throw std::invalid_argument("evaluate: assignment size != partitions");
-  }
-  const std::size_t n = m.nodes();
+LoadProfile initial_loads(const AssignmentProblem& problem) {
+  const std::size_t n = problem.nodes();
   LoadProfile loads;
   loads.egress.resize(n);
   loads.ingress.resize(n);
@@ -40,14 +60,26 @@ LoadProfile evaluate(const AssignmentProblem& problem,
     loads.egress[i] = problem.initial_egress_at(i);
     loads.ingress[i] = problem.initial_ingress_at(i);
   }
+  return loads;
+}
+
+LoadProfile evaluate(const AssignmentProblem& problem,
+                     std::span<const std::uint32_t> dest) {
+  problem.validate();
+  const data::ChunkView& m = problem.matrix;
+  if (dest.size() != m.partitions()) {
+    throw std::invalid_argument("evaluate: assignment size != partitions");
+  }
+  const std::size_t n = m.nodes();
+  LoadProfile loads = initial_loads(problem);
   for (std::size_t k = 0; k < m.partitions(); ++k) {
     const std::uint32_t d = dest[k];
     if (d >= n) throw std::invalid_argument("evaluate: destination out of range");
+    const std::span<const double> row = m.partition_row(k);
     for (std::size_t i = 0; i < n; ++i) {
       if (i == d) continue;
-      const double h = m.h(k, i);
-      loads.egress[i] += h;
-      loads.ingress[d] += h;
+      loads.egress[i] += row[i];
+      loads.ingress[d] += row[i];
     }
   }
   return loads;
@@ -68,7 +100,7 @@ double traffic(const AssignmentProblem& problem,
 
 std::string to_lp_string(const AssignmentProblem& problem) {
   problem.validate();
-  const data::ChunkMatrix& m = *problem.matrix;
+  const data::ChunkView& m = problem.matrix;
   const std::size_t n = m.nodes();
   const std::size_t p = m.partitions();
   std::ostringstream lp;
@@ -121,7 +153,7 @@ std::string to_lp_string(const AssignmentProblem& problem) {
 
 Assignment greedy_reference(const AssignmentProblem& problem) {
   problem.validate();
-  const data::ChunkMatrix& m = *problem.matrix;
+  const data::ChunkView& m = problem.matrix;
   const std::size_t n = m.nodes();
   const std::size_t p = m.partitions();
 

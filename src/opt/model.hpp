@@ -31,14 +31,16 @@ using Assignment = std::vector<std::uint32_t>;
 
 /// One instance of model (3). Does not own the chunk matrix.
 struct AssignmentProblem {
-  const data::ChunkMatrix* matrix = nullptr;
+  /// The h_{ik} rows: a plain matrix (`problem.matrix = &m`) or partial
+  /// duplication's residual view (core::PreparedInput::problem()).
+  data::ChunkView matrix;
   /// Constant pre-existing loads (bytes) from the skew handler's broadcast
   /// flows; empty vectors mean all-zero.
   std::vector<double> initial_egress;
   std::vector<double> initial_ingress;
 
-  std::size_t nodes() const noexcept { return matrix->nodes(); }
-  std::size_t partitions() const noexcept { return matrix->partitions(); }
+  std::size_t nodes() const noexcept { return matrix.nodes(); }
+  std::size_t partitions() const noexcept { return matrix.partitions(); }
   double initial_egress_at(std::size_t i) const noexcept {
     return initial_egress.empty() ? 0.0 : initial_egress[i];
   }
@@ -49,7 +51,26 @@ struct AssignmentProblem {
   void validate() const;
 };
 
-/// Port loads induced by a full assignment.
+/// Per-partition statistics of the h_{ik} rows. Every placement search
+/// reads these instead of rescanning rows: each top-level call (a
+/// scheduler's schedule(), refine(), grasp(), solve_exact()) builds the table
+/// once in O(p·n) and passes it down. Sums run in node order, so S_k is
+/// bit-identical to data::ChunkView::partition_total.
+struct PartitionStats {
+  explicit PartitionStats(const data::ChunkView& m);
+
+  std::vector<double> total;   ///< S_k = Σ_i h_{ik}
+  std::vector<double> max;     ///< largest chunk, max_i h_{ik}
+  std::vector<double> second;  ///< second-largest chunk (0 with one node)
+  std::vector<std::uint32_t> arg_max;  ///< node holding `max` (ties: lowest)
+
+  /// Minimum bytes partition k puts on the wire wherever it lands.
+  double rmin(std::size_t k) const noexcept { return total[k] - max[k]; }
+  /// Minimum bytes partition k puts on the wire if it avoids arg_max[k].
+  double rsecond(std::size_t k) const noexcept { return total[k] - second[k]; }
+};
+
+/// Port loads induced by a (partial) assignment.
 struct LoadProfile {
   std::vector<double> egress;
   std::vector<double> ingress;
@@ -57,6 +78,9 @@ struct LoadProfile {
   /// The objective T: bottleneck port load in bytes.
   double makespan() const noexcept;
 };
+
+/// The problem's initial loads, before any partition is placed.
+LoadProfile initial_loads(const AssignmentProblem& problem);
 
 /// Evaluate a complete assignment (dest.size() == partitions).
 LoadProfile evaluate(const AssignmentProblem& problem,
@@ -76,9 +100,9 @@ double traffic(const AssignmentProblem& problem,
 std::string to_lp_string(const AssignmentProblem& problem);
 
 /// Reference implementation of the paper's Algorithm 1, written to mirror the
-/// pseudocode line by line at O(p·n²). The production CCF scheduler
-/// (join/ccf_scheduler) computes the identical result in O(p·n); tests assert
-/// the two agree.
+/// pseudocode line by line at O(p·n²). The production kernel (opt/greedy.hpp)
+/// computes the identical result in O(p log p + p·n); tests assert the two
+/// agree.
 Assignment greedy_reference(const AssignmentProblem& problem);
 
 }  // namespace ccf::opt

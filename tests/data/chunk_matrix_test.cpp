@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <vector>
+
 namespace ccf::data {
 namespace {
 
@@ -79,6 +82,44 @@ TEST(ChunkMatrix, EqualityAndDiff) {
 TEST(ChunkMatrix, DiffShapeMismatchThrows) {
   ChunkMatrix a(2, 3), b(3, 2);
   EXPECT_THROW(max_abs_diff(a, b), std::invalid_argument);
+}
+
+// A view must not outlive its matrix, so a temporary matrix is rejected.
+static_assert(std::is_constructible_v<ChunkView, const ChunkMatrix&>);
+static_assert(!std::is_constructible_v<ChunkView, ChunkMatrix>);
+static_assert(!std::is_constructible_v<ChunkView, ChunkMatrix, std::size_t,
+                                       std::vector<double>>);
+
+TEST(ChunkView, PlainViewReadsTheMatrixInPlace) {
+  const auto m = sample();
+  const ChunkView v = m;
+  EXPECT_EQ(v.partitions(), 2u);
+  EXPECT_EQ(v.nodes(), 3u);
+  EXPECT_EQ(v.partition_row(1).data(), m.partition_row(1).data());
+  EXPECT_EQ(v, m);
+  EXPECT_FALSE(ChunkView());
+}
+
+TEST(ChunkView, ReplacesOneRowOnly) {
+  const auto m = sample();
+  const ChunkView v(m, 1, {1.0, 2.0, 0.5});
+  EXPECT_DOUBLE_EQ(v.h(1, 1), 2.0);
+  EXPECT_DOUBLE_EQ(v.partition_total(1), 3.5);
+  EXPECT_DOUBLE_EQ(v.partition_max(1), 2.0);
+  EXPECT_DOUBLE_EQ(v.total(), 4.0 + 3.5);
+  EXPECT_EQ(v.partition_row(0).data(), m.partition_row(0).data());
+  EXPECT_DOUBLE_EQ(m.h(1, 1), 6.0);  // the matrix itself is untouched
+  EXPECT_NE(v, m);
+  // Copies share the replacement row instead of copying it.
+  const ChunkView copy = v;
+  EXPECT_EQ(copy.partition_row(1).data(), v.partition_row(1).data());
+  EXPECT_EQ(copy, v);
+}
+
+TEST(ChunkView, ReplacementOutOfShapeThrows) {
+  const auto m = sample();
+  EXPECT_THROW(ChunkView(m, 2, {0.0, 0.0, 0.0}), std::invalid_argument);
+  EXPECT_THROW(ChunkView(m, 0, {0.0, 0.0}), std::invalid_argument);
 }
 
 }  // namespace

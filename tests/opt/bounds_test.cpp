@@ -24,7 +24,7 @@ TEST(RootLowerBound, PaperExampleIsBetweenSpreadAndOptimum) {
   const auto m = testing::paper_chunk_matrix();
   AssignmentProblem p;
   p.matrix = &m;
-  const double lb = root_lower_bound(p);
+  const double lb = root_lower_bound(p, PartitionStats(p.matrix));
   // Unavoidable traffic 6 over 3 nodes -> spread bound 2; largest single
   // unavoidable move 3 (partition 1). Bound = 3 == the true optimum here.
   EXPECT_DOUBLE_EQ(lb, 3.0);
@@ -36,7 +36,7 @@ TEST(RootLowerBound, AccountsForInitialLoads) {
   AssignmentProblem p;
   p.matrix = &m;
   p.initial_egress = {50.0, 0.0, 0.0};
-  EXPECT_GE(root_lower_bound(p), 50.0);
+  EXPECT_GE(root_lower_bound(p, PartitionStats(p.matrix)), 50.0);
 }
 
 TEST(RootLowerBound, NeverExceedsExactOptimum) {
@@ -53,7 +53,8 @@ TEST(RootLowerBound, NeverExceedsExactOptimum) {
     p.matrix = &m;
     const auto exact = solve_exact(p);
     ASSERT_TRUE(exact.optimal);
-    EXPECT_LE(root_lower_bound(p), exact.T + 1e-9) << "seed " << seed;
+    EXPECT_LE(root_lower_bound(p, PartitionStats(p.matrix)), exact.T + 1e-9)
+        << "seed " << seed;
   }
 }
 
@@ -179,7 +180,8 @@ TEST(InfeasibleBelow, NeverCutsTheOptimum) {
     const auto exact = solve_exact(p);
     ASSERT_TRUE(exact.optimal);
 
-    const PruneStatics statics = make_prune_statics(p);
+    const PartitionStats stats(p.matrix);
+    const PruneStatics statics = make_prune_statics(p, stats);
     std::vector<std::uint32_t> order(parts);
     std::vector<std::size_t> pos(parts);
     for (std::size_t k = 0; k < parts; ++k) order[k] = (std::uint32_t)k;
@@ -188,7 +190,7 @@ TEST(InfeasibleBelow, NeverCutsTheOptimum) {
     std::vector<double> future_chunks(n, 0.0);
     double future_rsecond = 0.0;
     for (std::size_t k = 0; k < parts; ++k) {
-      future_rsecond += statics.rsecond[k];
+      future_rsecond += stats.rsecond(k);
       for (std::size_t i = 0; i < n; ++i) future_chunks[i] += m.h(k, i);
     }
     PrunePrefix v;
@@ -201,7 +203,8 @@ TEST(InfeasibleBelow, NeverCutsTheOptimum) {
     v.future_chunks = future_chunks;
     // A completion with makespan exactly T* exists, so "below T* + eps" must
     // be feasible for every valid necessary condition.
-    EXPECT_FALSE(infeasible_below(p, statics, v, exact.T * (1.0 + 1e-9) + 1.0))
+    EXPECT_FALSE(
+        infeasible_below(p, stats, statics, v, exact.T * (1.0 + 1e-9) + 1.0))
         << "seed " << seed;
   }
 }
