@@ -1,17 +1,18 @@
 // Extension bench: joint routing + scheduling on a multi-path leaf-spine
-// fabric (the RAPIER direction of the paper's §V). Two workloads, both with
-// oversubscribed uplinks:
+// (Topology::leaf_spine; the RAPIER direction of the paper's §V). Two
+// workloads, both with oversubscribed uplinks:
 //
 //  (a) a CCF-placed TPC-H join coflow — CCF balances per-node loads so well
 //      that even static ECMP hashing splits the uplinks evenly: routing is
 //      nearly moot (a finding about co-optimized placement!);
 //  (b) a heavy-tailed MapReduce-style shuffle from the synthetic trace
 //      generator — few huge flows dominate, static hashing collides them on
-//      the same spine links, and volume-aware least-loaded routing wins.
+//      the same spine links, and volume-greedy routing (route_greedy: heavy
+//      flows first, each onto its least-bottlenecked spine) wins.
 #include <iostream>
 
 #include "core/ccf.hpp"
-#include "net/multipath.hpp"
+#include "net/topology.hpp"
 #include "net/trace.hpp"
 #include "util/cli.hpp"
 #include "util/zipf.hpp"
@@ -22,27 +23,29 @@ namespace {
 
 struct RoutingRow {
   double ecmp_cct = 0.0;
-  double ll_cct = 0.0;
+  double greedy_cct = 0.0;
 };
 
-RoutingRow run_point(const std::shared_ptr<const ccf::net::MultiPathFabric>& f,
+RoutingRow run_point(const std::shared_ptr<const ccf::net::Topology>& topo,
                      const ccf::net::FlowMatrix& flows) {
-  auto cct_for = [&](const ccf::net::Routing& routing) {
-    const auto net =
-        std::make_shared<const ccf::net::RoutedNetwork>(f, routing);
+  auto cct_for = [&](ccf::net::RouteChoice choice) {
+    const auto net = std::make_shared<const ccf::net::RoutedTopology>(
+        topo, std::move(choice));
     ccf::net::Simulator sim(net, ccf::net::make_allocator("madd"));
     sim.add_coflow(ccf::net::CoflowSpec("c", 0.0, flows));
     return sim.run().coflows[0].cct();
   };
-  return RoutingRow{cct_for(ccf::net::route_ecmp(*f, flows)),
-                    cct_for(ccf::net::route_least_loaded(*f, flows))};
+  return RoutingRow{
+      cct_for(ccf::net::route_ecmp(*topo)),
+      cct_for(ccf::net::route_greedy(
+          *topo, ccf::net::Demand::from_matrix(flows)))};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   ccf::util::ArgParser args("bench_ext_routing",
-                            "ECMP vs least-loaded routing on leaf-spine");
+                            "ECMP vs volume-greedy routing on leaf-spine");
   args.add_flag("racks", "6", "number of racks");
   args.add_flag("hosts", "10", "hosts per rack");
   args.add_flag("spines", "1:6:1", "spine-count sweep");
@@ -104,24 +107,20 @@ int main(int argc, char** argv) {
             << "   (b) heavy-tailed shuffle: "
             << ccf::util::format_bytes(shuffle.traffic()) << "\n\n";
 
-  const double total_uplink = static_cast<double>(hosts) *
-                              ccf::net::Fabric::kDefaultPortRate / oversub;
-
-  ccf::util::Table t({"spines", "(a) ECMP", "(a) least-loaded", "(a) gain",
-                      "(b) ECMP", "(b) least-loaded", "(b) gain"});
+  ccf::util::Table t({"spines", "(a) ECMP", "(a) greedy", "(a) gain",
+                      "(b) ECMP", "(b) greedy", "(b) gain"});
   for (const auto spines : args.get_int_sweep("spines")) {
-    const auto fabric = std::make_shared<const ccf::net::MultiPathFabric>(
+    const auto topo = ccf::net::Topology::leaf_spine(
         racks, hosts, static_cast<std::size_t>(spines),
-        ccf::net::Fabric::kDefaultPortRate,
-        total_uplink / static_cast<double>(spines));
-    const RoutingRow a = run_point(fabric, join_flows);
-    const RoutingRow b = run_point(fabric, shuffle);
+        ccf::net::Fabric::kDefaultPortRate, oversub);
+    const RoutingRow a = run_point(topo, join_flows);
+    const RoutingRow b = run_point(topo, shuffle);
     t.add_row({std::to_string(spines), ccf::util::format_seconds(a.ecmp_cct),
-               ccf::util::format_seconds(a.ll_cct),
-               ccf::util::format_fixed(a.ecmp_cct / a.ll_cct, 2) + "x",
+               ccf::util::format_seconds(a.greedy_cct),
+               ccf::util::format_fixed(a.ecmp_cct / a.greedy_cct, 2) + "x",
                ccf::util::format_seconds(b.ecmp_cct),
-               ccf::util::format_seconds(b.ll_cct),
-               ccf::util::format_fixed(b.ecmp_cct / b.ll_cct, 2) + "x"});
+               ccf::util::format_seconds(b.greedy_cct),
+               ccf::util::format_fixed(b.ecmp_cct / b.greedy_cct, 2) + "x"});
   }
   t.print(std::cout);
 

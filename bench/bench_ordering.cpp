@@ -32,8 +32,8 @@
 #include "core/registry.hpp"
 #include "net/fabric.hpp"
 #include "net/metrics.hpp"
-#include "net/rack.hpp"
 #include "net/simulator.hpp"
+#include "net/topology.hpp"
 #include "sched/ordering.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
@@ -57,8 +57,10 @@ std::vector<Topo> topologies() {
   std::vector<Topo> out;
   out.push_back(
       {"flat:32", std::make_shared<ccf::net::Fabric>(32, kHostRate), 32});
+  const auto rack = ccf::net::Topology::leaf_spine(8, 4, 1, kHostRate, 2.0);
   out.push_back({"rack:8x4,oversub=2",
-                 std::make_shared<ccf::net::RackFabric>(8, 4, kHostRate, 2.0),
+                 std::make_shared<ccf::net::RoutedTopology>(
+                     rack, ccf::net::route_ecmp(*rack)),
                  32});
   return out;
 }

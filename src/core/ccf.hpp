@@ -28,7 +28,6 @@
 #include "join/local_join.hpp"     // IWYU pragma: export
 #include "join/rack_scheduler.hpp" // IWYU pragma: export
 #include "join/schedulers.hpp"     // IWYU pragma: export
-#include "net/rack.hpp"            // IWYU pragma: export
 #include "net/allocator.hpp"       // IWYU pragma: export
 #include "net/coflow.hpp"          // IWYU pragma: export
 #include "net/fabric.hpp"          // IWYU pragma: export

@@ -1,43 +1,16 @@
 #include "core/registry.hpp"
 
 #include <algorithm>
-#include <array>
-#include <stdexcept>
+#include <vector>
 
 #include "sched/ordering.hpp"
 
 namespace ccf::core::registry {
 namespace {
 
-// Canonical orders. These must track join::make_scheduler and
-// net::make_allocator; registry_test resolves every listed name through the
-// layer factories so a drifting entry fails loudly.
-constexpr std::array<std::string_view, 7> kSchedulers = {
-    "hash", "mini", "ccf", "ccf-ls", "ccf-portfolio", "exact", "random"};
-
-struct AllocatorEntry {
-  std::string_view name;
-  net::AllocatorKind kind;
-};
-constexpr std::array<AllocatorEntry, 5> kAllocators = {{
-    {"fair", net::AllocatorKind::kFairSharing},
-    {"madd", net::AllocatorKind::kMadd},
-    {"varys", net::AllocatorKind::kVarys},
-    {"aalo", net::AllocatorKind::kAalo},
-    {"varys-edf", net::AllocatorKind::kVarysDeadline},
-}};
-
-// The full allocator surface: the classic net-layer policies above plus the
-// ordering schedulers (sched/ordering.hpp), which live a layer up and have
-// no AllocatorKind — make_allocator dispatches on the name. Must track
-// sched::ordering_names().
-constexpr std::array<std::string_view, 7> kAllocatorNames = {
-    kAllocators[0].name, kAllocators[1].name, kAllocators[2].name,
-    kAllocators[3].name, kAllocators[4].name, "sincronia", "lp-order"};
-
-// Must track net::make_routing_policy; registry_test resolves every name.
-constexpr std::array<std::string_view, 3> kRoutings = {"ecmp", "greedy",
-                                                       "joint"};
+bool contains(std::span<const std::string_view> names, std::string_view name) {
+  return std::ranges::find(names, name) != names.end();
+}
 
 std::string join_names(std::span<const std::string_view> names) {
   std::string out;
@@ -50,33 +23,37 @@ std::string join_names(std::span<const std::string_view> names) {
 
 }  // namespace
 
-std::span<const std::string_view> scheduler_names() { return kSchedulers; }
+std::span<const std::string_view> allocator_names() {
+  static const std::vector<std::string_view> names = [] {
+    std::vector<std::string_view> out(net::allocator_names().begin(),
+                                      net::allocator_names().end());
+    out.insert(out.end(), sched::ordering_names().begin(),
+               sched::ordering_names().end());
+    return out;
+  }();
+  return names;
+}
 
-std::span<const std::string_view> allocator_names() { return kAllocatorNames; }
+std::span<const std::string_view> routing_names() {
+  return net::routing_policy_names();
+}
 
-std::span<const std::string_view> routing_names() { return kRoutings; }
+std::string scheduler_name_list() { return join_names(scheduler_names()); }
 
-std::string scheduler_name_list() { return join_names(kSchedulers); }
+std::string allocator_name_list() { return join_names(allocator_names()); }
 
-std::string allocator_name_list() { return join_names(kAllocatorNames); }
-
-std::string routing_name_list() { return join_names(kRoutings); }
+std::string routing_name_list() { return join_names(routing_names()); }
 
 bool has_scheduler(std::string_view name) {
-  return std::ranges::find(kSchedulers, name) != kSchedulers.end();
+  return contains(scheduler_names(), name);
 }
 
 bool has_allocator(std::string_view name) {
-  return std::ranges::find(kAllocatorNames, name) != kAllocatorNames.end();
+  return contains(net::allocator_names(), name) || sched::has_ordering(name);
 }
 
 bool has_routing(std::string_view name) {
-  return std::ranges::find(kRoutings, name) != kRoutings.end();
-}
-
-std::unique_ptr<join::PartitionScheduler> make_scheduler(
-    const std::string& name) {
-  return join::make_scheduler(name);
+  return contains(routing_names(), name);
 }
 
 std::unique_ptr<net::RateAllocator> make_allocator(const std::string& name) {
@@ -86,20 +63,6 @@ std::unique_ptr<net::RateAllocator> make_allocator(const std::string& name) {
 
 std::unique_ptr<net::RoutingPolicy> make_routing(const std::string& name) {
   return net::make_routing_policy(name);
-}
-
-net::AllocatorKind allocator_kind(const std::string& name) {
-  for (const AllocatorEntry& e : kAllocators) {
-    if (e.name == name) return e.kind;
-  }
-  throw std::invalid_argument("registry: unknown allocator: " + name);
-}
-
-std::string_view allocator_name(net::AllocatorKind kind) {
-  for (const AllocatorEntry& e : kAllocators) {
-    if (e.kind == kind) return e.name;
-  }
-  throw std::invalid_argument("registry: unknown allocator kind");
 }
 
 }  // namespace ccf::core::registry

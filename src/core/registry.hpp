@@ -1,13 +1,13 @@
 // The policy registry: the single place that turns a user-facing policy name
-// into an implementation. Placement schedulers (join::PartitionScheduler) and
-// rate allocators (net::RateAllocator, the inter-coflow schedulers) are both
-// listed here with their canonical names, so the pipeline, the Engine, the
-// CLI tools and the benches all dispatch through one table — and their
-// --help texts print the live name lists instead of hard-coded strings.
+// into an implementation — placement schedulers (join::PartitionScheduler),
+// rate allocators (net::RateAllocator, the inter-coflow schedulers) and
+// routing policies (net::RoutingPolicy). The pipeline, the Engine, the CLI
+// tools and the benches all dispatch through it, and their --help texts
+// print its live name lists instead of hard-coded strings.
 //
-// The concrete factories still live with their layers (join::make_scheduler,
-// net::make_allocator); this module owns the *names* and the name -> factory
-// resolution, and the registry test pins the two views against each other.
+// The names live with their layers: each layer factory looks names up in
+// one static {name, factory} table (util/name_table.hpp) that also backs
+// its *_names() span. The registry keeps no names of its own.
 #pragma once
 
 #include <memory>
@@ -21,18 +21,12 @@
 
 namespace ccf::core::registry {
 
-/// Placement-scheduler names in canonical order ("hash", "mini", "ccf", ...).
-std::span<const std::string_view> scheduler_names();
-
-/// Rate-allocator names in canonical order: the classic net-layer policies
-/// ("fair", "madd", "varys", "aalo", "varys-edf") followed by the ordering
-/// schedulers ("sincronia", "lp-order" — sched/ordering.hpp, dispatched by
-/// make_allocator to sched::make_ordered_allocator; they carry no
-/// AllocatorKind).
+/// Canonical name lists: join::scheduler_names(); net::allocator_names()
+/// ("fair", "madd", "varys", "aalo", "varys-edf") followed by
+/// sched::ordering_names() ("sincronia", "lp-order"); and
+/// net::routing_policy_names() ("ecmp", "greedy", "joint").
+using join::scheduler_names;
 std::span<const std::string_view> allocator_names();
-
-/// Routing-policy names in canonical order ("ecmp", "greedy", "joint") —
-/// the route-selection axis of a topology ablation (net::RoutingPolicy).
 std::span<const std::string_view> routing_names();
 
 /// " | "-joined name list for --help texts, e.g. "hash | mini | ccf | ...".
@@ -40,22 +34,16 @@ std::string scheduler_name_list();
 std::string allocator_name_list();
 std::string routing_name_list();
 
+/// Allocation-free scans of the layers' static tables (the Service checks
+/// the scheduler of every submission).
 bool has_scheduler(std::string_view name);
 bool has_allocator(std::string_view name);
 bool has_routing(std::string_view name);
 
-/// Resolve a scheduler / allocator by registered name. Throws
-/// std::invalid_argument on unknown names (same contract as the layer
-/// factories these delegate to).
-std::unique_ptr<join::PartitionScheduler> make_scheduler(
-    const std::string& name);
+/// Resolve by registered name; throw std::invalid_argument on unknown names.
+/// The ordering allocators dispatch to sched::make_ordered_allocator.
+using join::make_scheduler;
 std::unique_ptr<net::RateAllocator> make_allocator(const std::string& name);
 std::unique_ptr<net::RoutingPolicy> make_routing(const std::string& name);
-
-/// Name <-> AllocatorKind mapping (the enum is the compiled-in option
-/// surface; the name is the CLI/config surface). Throw / abort on unknowns —
-/// including the ordering allocators, which have no kind.
-net::AllocatorKind allocator_kind(const std::string& name);
-std::string_view allocator_name(net::AllocatorKind kind);
 
 }  // namespace ccf::core::registry

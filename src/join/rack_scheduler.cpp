@@ -10,19 +10,38 @@
 
 namespace ccf::join {
 
+RackCcfScheduler::RackCcfScheduler(const net::Topology& topology) {
+  // On a leaf-spine, host i's egress port ends at its rack's ToR, graph node
+  // n + rack, and the graph holds n hosts, the ToRs and the spines.
+  const std::size_t n = topology.nodes();
+  rack_of_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    rack_of_[i] = static_cast<std::uint32_t>(
+        topology.link_ends(static_cast<net::Topology::LinkId>(i)).head - n);
+  }
+  racks_ = rack_of_.back() + 1;
+  if (topology.kind() != net::TopologyKind::kLeafSpine ||
+      topology.graph_nodes() != n + racks_ + 1) {
+    throw std::invalid_argument(
+        "RackCcfScheduler: needs a one-spine leaf-spine topology");
+  }
+  host_rate_ = topology.link_capacity(0);  // host 0's egress port
+  uplink_rate_ = topology.link_capacity(  // rack 0's uplink
+      static_cast<net::Topology::LinkId>(2 * n));
+}
+
 Assignment RackCcfScheduler::schedule(const AssignmentProblem& problem) {
   problem.validate();
   const data::ChunkView& m = problem.matrix;
-  const net::RackFabric& topo = *topology_;
   const std::size_t n = m.nodes();
-  if (n != topo.nodes()) {
+  if (n != rack_of_.size()) {
     throw std::invalid_argument(
         "RackCcfScheduler: matrix nodes != topology nodes");
   }
-  const std::size_t r = topo.racks();
+  const std::size_t r = racks_;
   const std::size_t p = m.partitions();
-  const double ce = topo.host_rate();
-  const double cu = topo.uplink_rate();
+  const double ce = host_rate_;
+  const double cu = uplink_rate_;
 
   const opt::PartitionStats stats(m);
 
@@ -38,8 +57,8 @@ Assignment RackCcfScheduler::schedule(const AssignmentProblem& problem) {
         if (i == j) continue;
         const double v = initial_flows_->volume(i, j);
         if (v <= 0.0) continue;
-        const std::size_t ri = topo.rack_of(i);
-        const std::size_t rj = topo.rack_of(j);
+        const std::size_t ri = rack_of_[i];
+        const std::size_t rj = rack_of_[j];
         if (ri != rj) {
           up_out[ri] += v;
           up_in[rj] += v;
@@ -56,7 +75,7 @@ Assignment RackCcfScheduler::schedule(const AssignmentProblem& problem) {
     const std::span<const double> row = m.partition_row(k);
     std::fill(rack_mass.begin(), rack_mass.end(), 0.0);
     for (std::size_t i = 0; i < n; ++i) {
-      rack_mass[topo.rack_of(i)] += row[i];
+      rack_mass[rack_of_[i]] += row[i];
     }
 
     // Candidate-independent top-2s (normalized to seconds by capacity).
@@ -77,7 +96,7 @@ Assignment RackCcfScheduler::schedule(const AssignmentProblem& problem) {
     std::uint32_t best_d = 0;
     bool first = true;
     for (std::uint32_t d = 0; d < n; ++d) {
-      const std::size_t rd = topo.rack_of(d);
+      const std::size_t rd = rack_of_[d];
       // Host egress: every holder i != d sends; d's own port stays put.
       const double eg = std::max(t_egress.excluding(d), egress[d] / ce);
       // Host ingress: d gains S_k - h_dk.
@@ -99,7 +118,7 @@ Assignment RackCcfScheduler::schedule(const AssignmentProblem& problem) {
     }
 
     // Commit.
-    const std::size_t rd = topo.rack_of(best_d);
+    const std::size_t rd = rack_of_[best_d];
     dest[k] = best_d;
     for (std::size_t i = 0; i < n; ++i) {
       if (i != best_d) egress[i] += row[i];

@@ -6,6 +6,7 @@
 
 #include "opt/greedy.hpp"
 #include "opt/local_search.hpp"
+#include "util/name_table.hpp"
 #include "util/rng.hpp"
 
 namespace ccf::join {
@@ -122,14 +123,29 @@ Assignment replace_failed_destinations(const AssignmentProblem& problem,
   return dest;
 }
 
+namespace {
+
+template <class T>
+constexpr auto make = &util::make_default<PartitionScheduler, T>;
+
+constexpr auto kSchedulers = util::make_name_table<PartitionScheduler>({
+    {"hash", make<HashScheduler>},
+    {"mini", make<MiniScheduler>},
+    {"ccf", make<CcfScheduler>},
+    {"ccf-ls", make<CcfLsScheduler>},
+    {"ccf-portfolio", make<PortfolioScheduler>},
+    {"exact", make<ExactScheduler>},
+    {"random", make<RandomScheduler>},
+});
+
+}  // namespace
+
+std::span<const std::string_view> scheduler_names() {
+  return kSchedulers.names;
+}
+
 std::unique_ptr<PartitionScheduler> make_scheduler(const std::string& name) {
-  if (name == "hash") return std::make_unique<HashScheduler>();
-  if (name == "mini") return std::make_unique<MiniScheduler>();
-  if (name == "ccf") return std::make_unique<CcfScheduler>();
-  if (name == "ccf-ls") return std::make_unique<CcfLsScheduler>();
-  if (name == "ccf-portfolio") return std::make_unique<PortfolioScheduler>();
-  if (name == "exact") return std::make_unique<ExactScheduler>();
-  if (name == "random") return std::make_unique<RandomScheduler>();
+  if (auto scheduler = kSchedulers.make(name)) return scheduler;
   throw std::invalid_argument("make_scheduler: unknown scheduler: " + name);
 }
 

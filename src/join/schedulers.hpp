@@ -26,6 +26,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "opt/bnb.hpp"
 #include "opt/local_search.hpp"
@@ -109,8 +110,10 @@ class RandomScheduler final : public PartitionScheduler {
   std::uint64_t seed_;
 };
 
-/// Factory by name: "hash", "mini", "ccf", "ccf-ls", "ccf-portfolio",
-/// "exact", "random".
+/// Scheduler names in canonical order: "hash", "mini", "ccf", "ccf-ls",
+/// "ccf-portfolio", "exact", "random".
+std::span<const std::string_view> scheduler_names();
+/// Factory by name; throws std::invalid_argument on unknown names.
 std::unique_ptr<PartitionScheduler> make_scheduler(const std::string& name);
 
 /// Failure-aware re-planning (the application-level face of the simulator's

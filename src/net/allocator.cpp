@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/name_table.hpp"
 #include "util/parallel.hpp"
 
 #if defined(CCF_SIMD_FILL) && defined(__AVX2__)
@@ -690,25 +691,24 @@ std::unique_ptr<RateAllocator> make_varys_allocator();
 std::unique_ptr<RateAllocator> make_aalo_allocator();
 std::unique_ptr<RateAllocator> make_varys_deadline_allocator();
 
-std::unique_ptr<RateAllocator> make_allocator(AllocatorKind kind) {
-  switch (kind) {
-    case AllocatorKind::kFairSharing: return make_fair_sharing_allocator();
-    case AllocatorKind::kMadd: return make_madd_allocator();
-    case AllocatorKind::kVarys: return make_varys_allocator();
-    case AllocatorKind::kAalo: return make_aalo_allocator();
-    case AllocatorKind::kVarysDeadline: return make_varys_deadline_allocator();
-  }
-  throw std::invalid_argument("make_allocator: invalid kind");
+namespace {
+
+constexpr auto kAllocators = util::make_name_table<RateAllocator>({
+    {"fair", &make_fair_sharing_allocator},
+    {"madd", &make_madd_allocator},
+    {"varys", &make_varys_allocator},
+    {"aalo", &make_aalo_allocator},
+    {"varys-edf", &make_varys_deadline_allocator},
+});
+
+}  // namespace
+
+std::span<const std::string_view> allocator_names() {
+  return kAllocators.names;
 }
 
 std::unique_ptr<RateAllocator> make_allocator(const std::string& name) {
-  if (name == "fair") return make_allocator(AllocatorKind::kFairSharing);
-  if (name == "madd") return make_allocator(AllocatorKind::kMadd);
-  if (name == "varys") return make_allocator(AllocatorKind::kVarys);
-  if (name == "aalo") return make_allocator(AllocatorKind::kAalo);
-  if (name == "varys-edf") {
-    return make_allocator(AllocatorKind::kVarysDeadline);
-  }
+  if (auto allocator = kAllocators.make(name)) return allocator;
   throw std::invalid_argument("make_allocator: unknown allocator: " + name);
 }
 

@@ -18,7 +18,7 @@
 //    queue, 10x exponent), FIFO within a queue, per-coflow max-min inside.
 //
 // All policies operate on the generic Network link model, so they work
-// unchanged on the flat Fabric and on rack topologies (rack.hpp).
+// unchanged on the flat Fabric and on routed topologies (topology.hpp).
 //
 // ## The incremental allocation protocol (DESIGN.md §4)
 //
@@ -51,6 +51,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -263,16 +264,14 @@ class RateAllocator {
                         const Network& network, double now);
 };
 
-/// Available allocator policies. kVarysDeadline is Varys's second operating
-/// mode: earliest-deadline-first with admission control — a coflow whose
-/// deadline cannot be met given already-admitted guarantees is rejected at
-/// arrival; admitted coflows get the minimum rates that finish them exactly
-/// on time, and deadline-free coflows share the leftovers SEBF-style.
-enum class AllocatorKind { kFairSharing, kMadd, kVarys, kAalo, kVarysDeadline };
-
-std::unique_ptr<RateAllocator> make_allocator(AllocatorKind kind);
-/// By name: "fair", "madd", "varys", "aalo", "varys-edf". Throws on unknown
-/// names.
+/// Allocator names in canonical order: "fair", "madd", "varys", "aalo",
+/// "varys-edf". "varys-edf" is Varys's second operating mode:
+/// earliest-deadline-first with admission control — a coflow whose deadline
+/// cannot be met given already-admitted guarantees is rejected at arrival;
+/// admitted coflows get the minimum rates that finish them exactly on time,
+/// and deadline-free coflows share the leftovers SEBF-style.
+std::span<const std::string_view> allocator_names();
+/// By name; throws std::invalid_argument on unknown names.
 std::unique_ptr<RateAllocator> make_allocator(const std::string& name);
 
 namespace detail {

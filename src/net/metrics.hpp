@@ -42,7 +42,7 @@ PortLoads port_loads(const FlowMatrix& flows);
 
 /// Γ: the single-coflow CCT lower bound, achieved by MADD — the maximum over
 /// all links of (bytes through the link / link capacity). Works for any
-/// Network (flat fabric or rack topology).
+/// Network (flat fabric or routed topology).
 double gamma_bound(const Demand& demand, const Network& network);
 double gamma_bound(const FlowMatrix& flows, const Network& network);
 

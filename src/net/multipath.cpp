@@ -1,134 +1,13 @@
 #include "net/multipath.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
 
+#include "util/name_table.hpp"
+
 namespace ccf::net {
-
-MultiPathFabric::MultiPathFabric(std::size_t racks, std::size_t hosts_per_rack,
-                                 std::size_t spines, double host_rate,
-                                 double spine_link_rate)
-    : racks_(racks),
-      hosts_per_rack_(hosts_per_rack),
-      spines_(spines),
-      host_rate_(host_rate),
-      spine_link_rate_(spine_link_rate) {
-  if (racks == 0 || hosts_per_rack == 0 || spines == 0) {
-    throw std::invalid_argument("MultiPathFabric: empty dimension");
-  }
-  if (host_rate <= 0.0 || spine_link_rate <= 0.0) {
-    throw std::invalid_argument("MultiPathFabric: rates must be > 0");
-  }
-}
-
-Routing::Routing(std::size_t nodes)
-    : nodes_(nodes), spine_(nodes * nodes, 0) {
-  if (nodes == 0) throw std::invalid_argument("Routing: nodes must be >= 1");
-}
-
-RoutedNetwork::RoutedNetwork(std::shared_ptr<const MultiPathFabric> fabric,
-                             Routing routing)
-    : fabric_(std::move(fabric)), routing_(std::move(routing)) {
-  if (!fabric_) throw std::invalid_argument("RoutedNetwork: null fabric");
-  if (routing_.nodes() != fabric_->nodes()) {
-    throw std::invalid_argument("RoutedNetwork: routing size mismatch");
-  }
-}
-
-double RoutedNetwork::link_capacity(LinkId link) const {
-  const std::size_t n = fabric_->nodes();
-  if (link < 2 * n) return fabric_->host_rate();
-  if (link < fabric_->link_count()) return fabric_->spine_link_rate();
-  throw std::out_of_range("RoutedNetwork: link id out of range");
-}
-
-void RoutedNetwork::append_links(std::uint32_t src, std::uint32_t dst,
-                                 std::vector<LinkId>& out) const {
-  assert(src != dst && "Network::append_links requires src != dst");
-  out.push_back(fabric_->egress_link(src));
-  const std::size_t rs = fabric_->rack_of(src);
-  const std::size_t rd = fabric_->rack_of(dst);
-  if (rs != rd) {
-    const std::uint32_t s = routing_.spine(src, dst);
-    if (s >= fabric_->spines()) {
-      throw std::out_of_range("RoutedNetwork: spine id out of range");
-    }
-    out.push_back(fabric_->uplink(rs, s));
-    out.push_back(fabric_->downlink(rd, s));
-  }
-  out.push_back(fabric_->ingress_link(dst));
-}
-
-Routing route_ecmp(const MultiPathFabric& fabric, const FlowMatrix& flows) {
-  if (flows.nodes() != fabric.nodes()) {
-    throw std::invalid_argument("route_ecmp: size mismatch");
-  }
-  Routing routing(fabric.nodes());
-  const auto spines = static_cast<std::uint32_t>(fabric.spines());
-  for (std::size_t i = 0; i < fabric.nodes(); ++i) {
-    for (std::size_t j = 0; j < fabric.nodes(); ++j) {
-      routing.set_spine(i, j, static_cast<std::uint32_t>((i + j) % spines));
-    }
-  }
-  return routing;
-}
-
-Routing route_least_loaded(const MultiPathFabric& fabric,
-                           const FlowMatrix& flows) {
-  if (flows.nodes() != fabric.nodes()) {
-    throw std::invalid_argument("route_least_loaded: size mismatch");
-  }
-  Routing routing(fabric.nodes());
-  const std::size_t racks = fabric.racks();
-  const std::size_t spines = fabric.spines();
-  std::vector<double> up(racks * spines, 0.0), down(racks * spines, 0.0);
-
-  struct Entry {
-    std::uint32_t src, dst;
-    double volume;
-  };
-  std::vector<Entry> cross;
-  for (std::size_t i = 0; i < fabric.nodes(); ++i) {
-    for (std::size_t j = 0; j < fabric.nodes(); ++j) {
-      if (i == j || fabric.rack_of(i) == fabric.rack_of(j)) continue;
-      const double v = flows.volume(i, j);
-      if (v > 0.0) {
-        cross.push_back({static_cast<std::uint32_t>(i),
-                         static_cast<std::uint32_t>(j), v});
-      }
-    }
-  }
-  std::sort(cross.begin(), cross.end(), [](const Entry& a, const Entry& b) {
-    if (a.volume != b.volume) return a.volume > b.volume;
-    if (a.src != b.src) return a.src < b.src;
-    return a.dst < b.dst;
-  });
-
-  for (const Entry& e : cross) {
-    const std::size_t rs = fabric.rack_of(e.src);
-    const std::size_t rd = fabric.rack_of(e.dst);
-    std::uint32_t best = 0;
-    double best_load = 0.0;
-    for (std::uint32_t s = 0; s < spines; ++s) {
-      const double load = std::max(up[rs * spines + s] + e.volume,
-                                   down[rd * spines + s] + e.volume);
-      if (s == 0 || load < best_load) {
-        best = s;
-        best_load = load;
-      }
-    }
-    routing.set_spine(e.src, e.dst, best);
-    up[rs * spines + best] += e.volume;
-    down[rd * spines + best] += e.volume;
-  }
-  return routing;
-}
-
-// --- general-topology routing ----------------------------------------
 
 namespace {
 
@@ -355,12 +234,23 @@ class JointPolicy final : public RoutingPolicy {
   }
 };
 
+template <class T>
+constexpr auto make = &util::make_default<RoutingPolicy, T>;
+
+constexpr auto kRoutings = util::make_name_table<RoutingPolicy>({
+    {"ecmp", make<EcmpPolicy>},
+    {"greedy", make<GreedyPolicy>},
+    {"joint", make<JointPolicy>},
+});
+
 }  // namespace
 
+std::span<const std::string_view> routing_policy_names() {
+  return kRoutings.names;
+}
+
 std::unique_ptr<RoutingPolicy> make_routing_policy(std::string_view name) {
-  if (name == "ecmp") return std::make_unique<EcmpPolicy>();
-  if (name == "greedy") return std::make_unique<GreedyPolicy>();
-  if (name == "joint") return std::make_unique<JointPolicy>();
+  if (auto policy = kRoutings.make(name)) return policy;
   throw std::invalid_argument("make_routing_policy: unknown routing: " +
                               std::string(name));
 }

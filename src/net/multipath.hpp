@@ -1,141 +1,25 @@
-// Multi-path (leaf-spine) topology with per-flow routing — the
-// RAPIER-flavored extension the paper's related work points to ("more
-// advanced techniques on coflow scheduling (e.g., routing) will be able to
-// be integrated in our framework").
-//
-// S spine switches interconnect the racks; every rack has one dedicated
-// uplink/downlink pair per spine. A cross-rack flow must choose ONE spine —
-// the routing decision — and then traverses
-//
-//   egress_src -> up(rack_src, spine) -> down(rack_dst, spine) -> ingress_dst.
-//
-// MultiPathFabric describes the topology, Routing holds the per-(src,dst)
-// spine choice, and RoutedNetwork adapts the pair to the generic Network
-// interface so every allocator, bound and simulator works unchanged. Two
-// routing policies are provided: static ECMP-style hashing (the baseline)
-// and a RAPIER-style greedy that routes heavy flows first onto the least
-// loaded spine.
-//
-// The general-topology routing layer lives below: RoutingPolicy turns a
-// Topology (topology.hpp) plus an aggregate demand matrix into a RouteChoice,
-// and route_joint is the joint routing×bandwidth co-optimizer — it descends
-// on Γ of the routed network, which for a single aggregate coflow is exactly
-// the CCT of the MADD fill (metrics.hpp), by repeatedly moving the heaviest
-// flows off the bottleneck link and re-evaluating the fill.
+// Coflow routing over a general topology (topology.hpp), the extension the
+// paper's related work points to ("more advanced techniques on coflow
+// scheduling (e.g., routing) will be able to be integrated in our
+// framework"), posed as in Shi et al. (arXiv 1812.06898). A RoutingPolicy
+// turns a Topology plus an aggregate demand into a RouteChoice: static ECMP,
+// volume-greedy (both in topology.hpp), or route_joint, the joint
+// routing×bandwidth co-optimizer — it descends on Γ of the routed network,
+// which for a single aggregate coflow is exactly the CCT of the MADD fill
+// (metrics.hpp), by repeatedly moving the heaviest flows off the bottleneck
+// link and re-evaluating the fill.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <memory>
+#include <span>
 #include <string_view>
-#include <vector>
 
 #include "net/demand.hpp"
 #include "net/flow.hpp"
-#include "net/network.hpp"
 #include "net/topology.hpp"
 
 namespace ccf::net {
-
-/// Leaf-spine topology description.
-class MultiPathFabric {
- public:
-  /// Every rack gets one uplink and one downlink of `spine_link_rate` to
-  /// each of the `spines` switches.
-  MultiPathFabric(std::size_t racks, std::size_t hosts_per_rack,
-                  std::size_t spines, double host_rate,
-                  double spine_link_rate);
-
-  std::size_t racks() const noexcept { return racks_; }
-  std::size_t hosts_per_rack() const noexcept { return hosts_per_rack_; }
-  std::size_t spines() const noexcept { return spines_; }
-  std::size_t nodes() const noexcept { return racks_ * hosts_per_rack_; }
-  double host_rate() const noexcept { return host_rate_; }
-  double spine_link_rate() const noexcept { return spine_link_rate_; }
-
-  std::size_t rack_of(std::size_t node) const noexcept {
-    return node / hosts_per_rack_;
-  }
-  /// Paths available to a flow: 1 intra-rack, `spines` cross-rack.
-  std::size_t path_count(std::uint32_t src, std::uint32_t dst) const noexcept {
-    return rack_of(src) == rack_of(dst) ? 1 : spines_;
-  }
-
-  // Link id layout shared with RoutedNetwork.
-  std::size_t link_count() const noexcept {
-    return 2 * nodes() + 2 * racks_ * spines_;
-  }
-  Network::LinkId egress_link(std::size_t node) const {
-    return static_cast<Network::LinkId>(node);
-  }
-  Network::LinkId ingress_link(std::size_t node) const {
-    return static_cast<Network::LinkId>(nodes() + node);
-  }
-  Network::LinkId uplink(std::size_t rack, std::size_t spine) const {
-    return static_cast<Network::LinkId>(2 * nodes() + rack * spines_ + spine);
-  }
-  Network::LinkId downlink(std::size_t rack, std::size_t spine) const {
-    return static_cast<Network::LinkId>(2 * nodes() + racks_ * spines_ +
-                                        rack * spines_ + spine);
-  }
-
- private:
-  std::size_t racks_;
-  std::size_t hosts_per_rack_;
-  std::size_t spines_;
-  double host_rate_;
-  double spine_link_rate_;
-};
-
-/// Per-(src,dst) spine choice for cross-rack flows (intra-rack entries are
-/// ignored). Defaults to spine 0 everywhere.
-class Routing {
- public:
-  explicit Routing(std::size_t nodes);
-
-  std::uint32_t spine(std::size_t src, std::size_t dst) const noexcept {
-    return spine_[src * nodes_ + dst];
-  }
-  void set_spine(std::size_t src, std::size_t dst, std::uint32_t spine_id) {
-    spine_[src * nodes_ + dst] = spine_id;
-  }
-  std::size_t nodes() const noexcept { return nodes_; }
-
- private:
-  std::size_t nodes_;
-  std::vector<std::uint32_t> spine_;
-};
-
-/// (topology, routing) pair as a generic Network.
-class RoutedNetwork final : public Network {
- public:
-  RoutedNetwork(std::shared_ptr<const MultiPathFabric> fabric, Routing routing);
-
-  std::size_t nodes() const noexcept override { return fabric_->nodes(); }
-  std::size_t link_count() const noexcept override {
-    return fabric_->link_count();
-  }
-  double link_capacity(LinkId link) const override;
-  void append_links(std::uint32_t src, std::uint32_t dst,
-                    std::vector<LinkId>& out) const override;
-
-  const Routing& routing() const noexcept { return routing_; }
-
- private:
-  std::shared_ptr<const MultiPathFabric> fabric_;
-  Routing routing_;
-};
-
-/// Static ECMP-style routing: spine = (src + dst) mod spines. Oblivious to
-/// volumes — the baseline routing of production fabrics.
-Routing route_ecmp(const MultiPathFabric& fabric, const FlowMatrix& flows);
-
-/// RAPIER-style greedy joint routing: flows in descending volume order each
-/// take the spine that minimizes the resulting worst uplink/downlink
-/// utilization. Volume-aware, so heavy flows spread across spines.
-Routing route_least_loaded(const MultiPathFabric& fabric,
-                           const FlowMatrix& flows);
-
-// --- general-topology routing (topology.hpp) --------------------------
 
 /// Knobs of the joint routing×bandwidth optimizer.
 struct JointRouteOptions {
@@ -189,9 +73,11 @@ class RoutingPolicy {
   }
 };
 
-/// Resolve a routing policy by name: "ecmp" (static hash), "greedy"
-/// (volume-greedy warm start only), or "joint" (route_joint). Throws
-/// std::invalid_argument on unknown names.
+/// Routing-policy names in canonical order: "ecmp" (static hash), "greedy"
+/// (volume-greedy warm start only) and "joint" (route_joint).
+std::span<const std::string_view> routing_policy_names();
+/// Resolve a routing policy by name; throws std::invalid_argument on unknown
+/// names.
 std::unique_ptr<RoutingPolicy> make_routing_policy(std::string_view name);
 
 }  // namespace ccf::net

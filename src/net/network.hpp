@@ -5,9 +5,9 @@
 // where L_ij = {egress_i, ingress_j}. This interface keeps the general form:
 // a Network enumerates the links of any (src,dst) pair and their capacities,
 // so rate allocators and bounds work for both the flat fabric (fabric.hpp)
-// and richer topologies (rack.hpp), exactly the "easily extended to complex
-// network conditions by adding parameters to these two constraints" note of
-// §III-A.
+// and richer topologies (topology.hpp), exactly the "easily extended to
+// complex network conditions by adding parameters to these two constraints"
+// note of §III-A.
 #pragma once
 
 #include <cstddef>
@@ -35,8 +35,8 @@ class Network {
   /// src != dst precondition — a self-flow has no L_ij, and callers
   /// (simulator, bounds, routing) all filter the diagonal before asking.
   /// Note the distinct *intra-rack* case src != dst, rack(src) == rack(dst),
-  /// which IS valid and short-circuits the switch layer (rack.cpp,
-  /// multipath.cpp, topology.cpp return just the two host ports).
+  /// which IS valid and short-circuits the switch layer (a routed
+  /// topology.hpp leaf-spine returns just the two host ports).
   virtual void append_links(std::uint32_t src, std::uint32_t dst,
                             std::vector<LinkId>& out) const = 0;
 

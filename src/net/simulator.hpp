@@ -124,7 +124,7 @@ struct SimReport {
 };
 
 /// The simulator. Usage:
-///   Simulator sim(Fabric(n), make_allocator(AllocatorKind::kMadd));
+///   Simulator sim(Fabric(n), make_allocator("madd"));
 ///   sim.add_coflow(CoflowSpec("shuffle", 0.0, std::move(flows)));
 ///   SimReport r = sim.run();
 class Simulator {
@@ -132,7 +132,7 @@ class Simulator {
   Simulator(Fabric fabric, std::unique_ptr<RateAllocator> allocator,
             SimConfig config = {});
 
-  /// Generic topology constructor (e.g. a RackFabric).
+  /// Generic topology constructor (e.g. a RoutedTopology).
   Simulator(std::shared_ptr<const Network> network,
             std::unique_ptr<RateAllocator> allocator, SimConfig config = {});
 

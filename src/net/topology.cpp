@@ -148,9 +148,9 @@ std::shared_ptr<const Topology> Topology::leaf_spine(
   for (std::size_t i = 0; i < n; ++i) attachment[i] = tor(i / hosts_per_rack);
   b.add_host_ports(attachment, host_rate);
 
-  // Uplinks [2n, 2n + R*S), downlinks [2n + R*S, 2n + 2*R*S) — the
-  // MultiPathFabric layout, with per-uplink capacity splitting the rack's
-  // oversubscribed aggregate across the spines.
+  // Uplinks [2n, 2n + R*S), downlinks [2n + R*S, 2n + 2*R*S), with
+  // per-uplink capacity splitting the rack's oversubscribed aggregate across
+  // the spines.
   const double uplink_rate = static_cast<double>(hosts_per_rack) * host_rate /
                              (oversubscription * static_cast<double>(spines));
   std::vector<Topology::LinkId> up(racks * spines), down(racks * spines);

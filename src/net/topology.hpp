@@ -7,8 +7,8 @@
 // dst's ingress port. Three families are bundled:
 //
 //  * leaf_spine  — racks of hosts behind ToR switches, S spine switches,
-//    configurable uplink oversubscription; one path per spine (the
-//    MultiPathFabric model generalized to per-link storage).
+//    configurable uplink oversubscription; one path per spine. One spine
+//    is the two-tier rack model of §III-A's "complex network conditions".
 //  * fat_tree    — the k-ary fat-tree of Al-Fares et al.: k pods of k/2 edge
 //    and k/2 aggregation switches over (k/2)^2 cores, k^3/4 hosts;
 //    (k/2)^2 paths between pods, k/2 inside a pod.
@@ -19,8 +19,8 @@
 //    hosts attached round-robin; the route-set is the k shortest loop-free
 //    router paths per pair (Yen's algorithm over BFS hop counts).
 //
-// Link-id layout (shared with Fabric/RackFabric so fault schedules and the
-// default Network::append_egress_links convention keep working): LinkId i in
+// Link-id layout (shared with Fabric so fault schedules and the default
+// Network::append_egress_links convention keep working): LinkId i in
 // [0, n) is host i's egress port, [n, 2n) the ingress ports, switch-level
 // links follow from 2n. Paths are stored as *segments* — the switch-level
 // links only — grouped by the (src attachment, dst attachment) switch pair,
@@ -141,7 +141,10 @@ class Topology {
   /// Leaf-spine: `racks` racks of `hosts_per_rack` hosts, one uplink and one
   /// downlink per (rack, spine) pair, each of capacity
   /// hosts_per_rack * host_rate / (oversubscription * spines). Cross-rack
-  /// pairs get one path per spine.
+  /// pairs get one path per spine. Host h sits in rack h / hosts_per_rack;
+  /// graph node n + r is rack r's ToR switch and n + R + s spine s. After the
+  /// host ports, uplink (r, s) is LinkId 2n + r*S + s and downlink (r, s) is
+  /// 2n + R*S + r*S + s.
   static std::shared_ptr<const Topology> leaf_spine(std::size_t racks,
                                                     std::size_t hosts_per_rack,
                                                     std::size_t spines,
@@ -209,8 +212,7 @@ class RoutedTopology final : public Network {
 };
 
 /// Static ECMP: path = (src + dst) mod path_count — volume-oblivious, the
-/// baseline of production fabrics (matches multipath.hpp's leaf-spine
-/// route_ecmp on a leaf-spine topology).
+/// baseline of production fabrics.
 RouteChoice route_ecmp(const Topology& topology);
 
 /// Collapse every route-set to its first path ("k routes collapsed to 1" —

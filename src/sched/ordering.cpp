@@ -1,7 +1,6 @@
 #include "sched/ordering.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -9,6 +8,7 @@
 #include "net/flow.hpp"
 #include "net/metrics.hpp"
 #include "net/network.hpp"
+#include "util/name_table.hpp"
 
 namespace ccf::sched {
 
@@ -361,9 +361,6 @@ OrderingLowerBound ordering_lower_bound(const OrderingProblem& problem) {
 
 namespace {
 
-constexpr std::array<std::string_view, 2> kOrderings = {"sincronia",
-                                                        "lp-order"};
-
 class SincroniaPolicy final : public OrderingPolicy {
  public:
   std::string name() const override { return "sincronia"; }
@@ -464,17 +461,24 @@ class OrderedAllocator final : public net::RateAllocator {
   std::vector<double> loads_, acc_;
 };
 
+template <class T>
+constexpr auto make = &util::make_default<OrderingPolicy, T>;
+
+constexpr auto kOrderings = util::make_name_table<OrderingPolicy>({
+    {"sincronia", make<SincroniaPolicy>},
+    {"lp-order", make<LpOrderPolicy>},
+});
+
 }  // namespace
 
-std::span<const std::string_view> ordering_names() { return kOrderings; }
+std::span<const std::string_view> ordering_names() { return kOrderings.names; }
 
 bool has_ordering(std::string_view name) {
-  return std::ranges::find(kOrderings, name) != kOrderings.end();
+  return std::ranges::find(kOrderings.names, name) != kOrderings.names.end();
 }
 
 std::unique_ptr<OrderingPolicy> make_ordering(const std::string& name) {
-  if (name == "sincronia") return std::make_unique<SincroniaPolicy>();
-  if (name == "lp-order") return std::make_unique<LpOrderPolicy>();
+  if (auto ordering = kOrderings.make(name)) return ordering;
   throw std::invalid_argument("make_ordering: unknown ordering: " + name);
 }
 

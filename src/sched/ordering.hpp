@@ -5,16 +5,19 @@
 // CCT objective Σ w_c · CCT_c:
 //
 //  * sincronia_order — the Sincronia primal–dual ordering (Agarwal et al.,
-//    SIGCOMM'18, arXiv 1906.06851; the combinatorial core is the
-//    Ahmadi–Khuller–Purohit–Yang primal–dual, arXiv 1704.08357). Iterate
-//    from the last position: charge the most-loaded ("bottleneck") port,
-//    schedule LAST the coflow minimizing scaled-weight per unit of
-//    bottleneck demand, then scale the remaining weights down by what the
-//    charge consumed. Composed with ANY ordering-respecting rate
-//    allocation, the resulting schedule is a 4-approximation; the dual
-//    objective the iteration constructs is a certified lower bound on the
-//    optimum, so the guarantee ships as an executable test
-//    (tests/sched/ordering_ratio_test.cpp), not prose.
+//    SIGCOMM'18; the combinatorial core is the Ahmadi–Khuller–Purohit–Yang
+//    primal–dual, IPCO'17). The same line of work: Chowdhury, Khuller,
+//    Purohit and Yang, "Near Optimal Coflow Scheduling in Networks" (arXiv
+//    1906.06851), and Shafiee and Ghaderi, "An Improved Bound for
+//    Minimizing the Total Weighted Completion Time of Coflows in
+//    Datacenters" (arXiv 1704.08357). Iterate from the last position:
+//    charge the most-loaded ("bottleneck") port, schedule LAST the coflow
+//    minimizing scaled-weight per unit of bottleneck demand, then scale the
+//    remaining weights down by what the charge consumed. Composed with ANY
+//    ordering-respecting rate allocation, the resulting schedule is a
+//    4-approximation; the dual objective the iteration constructs is a
+//    certified lower bound on the optimum, so the guarantee ships as an
+//    executable test (tests/sched/ordering_ratio_test.cpp), not prose.
 //
 //  * lp_order — an ordering from the interval-indexed (deadline) LP
 //    relaxation: geometric horizon points, greedy fractional packing in

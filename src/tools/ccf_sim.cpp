@@ -1,7 +1,7 @@
 // ccf_sim — simulate a coflow from a CSV flow list.
 //
 //   ccf_sim --flows flows.csv [--nodes N] [--allocator madd]
-//           [--port-rate 125M] [--racks R --hosts H --oversub S]
+//           [--port-rate 125M]
 //           [--topology SPEC [--routing ecmp|greedy|joint]]
 //           [--faults faults.csv [--replace] [--replace-threshold X]]
 //
@@ -11,10 +11,11 @@
 // ports. --sparse-flows registers the coflow with the simulator as a
 // SparseCoflowSpec flow list instead of a dense matrix (same results; the
 // n²-free path for very wide fabrics).
-// With --racks/--hosts the simulation runs on a two-tier rack topology.
+// Without --topology the simulation runs on the flat non-blocking fabric.
 // --topology runs it on a general multipath topology instead
 // (net::TopologySpec grammar, e.g. "leafspine:racks=32,hosts=16,spines=4,
-// oversub=4", "fattree:k=4", "waxman:nodes=24,seed=7"), with --routing
+// oversub=4", "fattree:k=4", "waxman:nodes=24,seed=7"; the two-tier rack
+// model is "leafspine:racks=R,hosts=H,spines=1,oversub=F"), with --routing
 // choosing the path-selection policy the flow matrix is routed by.
 // --faults injects a time,kind,id,side,factor schedule (net/io.hpp);
 // --replace re-assigns flow remainders off ports degraded to at most
@@ -26,7 +27,6 @@
 #include "core/registry.hpp"
 #include "net/io.hpp"
 #include "net/metrics.hpp"
-#include "net/rack.hpp"
 #include "net/simulator.hpp"
 #include "net/topology.hpp"
 #include "tools/common.hpp"
@@ -42,12 +42,9 @@ int main(int argc, char** argv) {
     args.add_flag("allocator", "madd",
                   ccf::core::registry::allocator_name_list());
     ccf::tools::add_port_rate_flag(args);
-    args.add_flag("racks", "0", "racks (0 = flat non-blocking fabric)");
-    args.add_flag("hosts", "0", "hosts per rack (with --racks)");
-    args.add_flag("oversub", "1", "rack uplink oversubscription");
     args.add_flag("topology", "",
                   "multipath topology spec: leafspine|fattree|waxman"
-                  "[:key=value,...] (overrides --racks)");
+                  "[:key=value,...] (empty = flat non-blocking fabric)");
     args.add_flag("routing", "ecmp",
                   ccf::core::registry::routing_name_list());
     args.add_flag("faults", "", "CSV fault schedule: time,kind,id,side,factor");
@@ -64,7 +61,6 @@ int main(int argc, char** argv) {
     ccf::net::Demand demand = ccf::tools::load_demand(args);
 
     std::shared_ptr<const ccf::net::Network> network;
-    const auto racks = static_cast<std::size_t>(args.get_int("racks"));
     if (!args.get("topology").empty()) {
       ccf::net::TopologySpec spec =
           ccf::net::TopologySpec::parse(args.get("topology"));
@@ -80,15 +76,6 @@ int main(int argc, char** argv) {
           ccf::core::registry::make_routing(args.get("routing"));
       network = std::make_shared<const ccf::net::RoutedTopology>(
           topology, policy->choose(*topology, demand));
-    } else if (racks > 0) {
-      const auto hosts = static_cast<std::size_t>(args.get_int("hosts"));
-      network = std::make_shared<const ccf::net::RackFabric>(
-          racks, hosts, rate, args.get_double("oversub"));
-      if (network->nodes() < demand.nodes()) {
-        std::cerr << "error: topology has fewer nodes than the flow matrix\n";
-        return 2;
-      }
-      demand.widen(network->nodes());
     } else {
       network =
           std::make_shared<const ccf::net::Fabric>(demand.nodes(), rate);

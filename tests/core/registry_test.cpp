@@ -1,9 +1,6 @@
 // Pins the policy registry (core/registry.hpp) against the layer factories
-// it fronts: every listed name must resolve, resolve to an implementation
-// that reports the same name, and round-trip through the AllocatorKind
-// mapping. This is the drift guard — adding a scheduler to
-// join::make_scheduler without registering it here (or vice versa) should
-// fail loudly in exactly one place.
+// it fronts: every listed name must resolve, and resolve through its own
+// layer to an implementation that reports the same name.
 #include "core/registry.hpp"
 
 #include <gtest/gtest.h>
@@ -79,19 +76,6 @@ TEST(Registry, RoutingNamesResolveThroughTheNetFactory) {
   }
 }
 
-TEST(Registry, AllocatorKindRoundTrips) {
-  // Only the classic net-layer policies have an AllocatorKind; the ordering
-  // schedulers are name-only and must be rejected by the kind mapping.
-  for (const auto name : allocator_names()) {
-    const std::string n(name);
-    if (sched::has_ordering(name)) {
-      EXPECT_THROW(allocator_kind(n), std::invalid_argument) << n;
-    } else {
-      EXPECT_EQ(allocator_name(allocator_kind(n)), name) << n;
-    }
-  }
-}
-
 TEST(Registry, HelpListsContainEveryName) {
   const std::string schedulers = scheduler_name_list();
   for (const auto name : scheduler_names()) {
@@ -117,7 +101,6 @@ TEST(Registry, UnknownNamesAreRejected) {
   EXPECT_THROW(make_scheduler("bogus"), std::invalid_argument);
   EXPECT_THROW(make_allocator("bogus"), std::invalid_argument);
   EXPECT_THROW(make_routing("bogus"), std::invalid_argument);
-  EXPECT_THROW(allocator_kind("bogus"), std::invalid_argument);
   // Case and whitespace are significant: names are exact tokens.
   EXPECT_FALSE(has_scheduler("CCF"));
   EXPECT_FALSE(has_allocator(" madd"));

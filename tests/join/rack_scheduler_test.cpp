@@ -5,14 +5,17 @@
 #include "data/workload.hpp"
 #include "join/flows.hpp"
 #include "net/metrics.hpp"
+#include "testing/leaf_spine.hpp"
 #include "util/rng.hpp"
 
 namespace ccf::join {
 namespace {
 
+using testing::one_spine_leaf_spine;
+
 // Rack-aware makespan of an assignment = Γ of its flows on the topology.
 double rack_makespan(const data::ChunkMatrix& m,
-                     const Assignment& dest, const net::RackFabric& topo) {
+                     const Assignment& dest, const net::Network& topo) {
   return net::gamma_bound(assignment_flows(m, dest), topo);
 }
 
@@ -27,11 +30,11 @@ data::ChunkMatrix random_matrix(std::size_t p, std::size_t n,
 }
 
 TEST(RackCcfScheduler, ValidAssignments) {
-  const net::RackFabric topo(3, 4, 10.0, 4.0);
+  const auto topo = one_spine_leaf_spine(3, 4, 10.0, 4.0);
   const auto m = random_matrix(24, 12, 1);
   AssignmentProblem prob;
   prob.matrix = &m;
-  RackCcfScheduler sched(topo);
+  RackCcfScheduler sched(topo->topology());
   EXPECT_EQ(sched.name(), "ccf-rack");
   const Assignment dest = sched.schedule(prob);
   ASSERT_EQ(dest.size(), 24u);
@@ -39,16 +42,16 @@ TEST(RackCcfScheduler, ValidAssignments) {
 }
 
 TEST(RackCcfScheduler, TopologySizeMismatchThrows) {
-  const net::RackFabric topo(2, 2);
+  const auto topo = one_spine_leaf_spine(2, 2, net::Fabric::kDefaultPortRate);
   const auto m = random_matrix(6, 12, 2);
   AssignmentProblem prob;
   prob.matrix = &m;
-  RackCcfScheduler sched(topo);
+  RackCcfScheduler sched(topo->topology());
   EXPECT_THROW(sched.schedule(prob), std::invalid_argument);
 }
 
 TEST(RackCcfScheduler, MatchesExhaustiveOptimumOnTinyInstance) {
-  const net::RackFabric topo(2, 2, 10.0, 4.0);
+  const auto topo = one_spine_leaf_spine(2, 2, 10.0, 4.0);
   const auto m = random_matrix(5, 4, 3);
   AssignmentProblem prob;
   prob.matrix = &m;
@@ -61,12 +64,12 @@ TEST(RackCcfScheduler, MatchesExhaustiveOptimumOnTinyInstance) {
       dest[k] = static_cast<std::uint32_t>(c % 4);
       c /= 4;
     }
-    best = std::min(best, rack_makespan(m, dest, topo));
+    best = std::min(best, rack_makespan(m, dest, *topo));
   }
-  const Assignment greedy = RackCcfScheduler(topo).schedule(prob);
+  const Assignment greedy = RackCcfScheduler(topo->topology()).schedule(prob);
   // Greedy is not exact, but must land within 40% of the true optimum on
   // these tiny instances and always produce a consistent T.
-  EXPECT_LE(rack_makespan(m, greedy, topo), best * 1.4 + 1e-9);
+  EXPECT_LE(rack_makespan(m, greedy, *topo), best * 1.4 + 1e-9);
 }
 
 TEST(RackCcfScheduler, BeatsFlatCcfUnderOversubscription) {
@@ -76,7 +79,7 @@ TEST(RackCcfScheduler, BeatsFlatCcfUnderOversubscription) {
   // may tie within a few percent, but the aggregate must favor rack-aware.
   double flat_total = 0.0, rack_total = 0.0;
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    const net::RackFabric topo(4, 5, 10.0, 8.0);
+    const auto topo = one_spine_leaf_spine(4, 5, 10.0, 8.0);
     data::WorkloadSpec spec;
     spec.nodes = 20;
     spec.partitions = 100;
@@ -90,9 +93,9 @@ TEST(RackCcfScheduler, BeatsFlatCcfUnderOversubscription) {
     AssignmentProblem prob;
     prob.matrix = &w.matrix;
     const double flat =
-        rack_makespan(w.matrix, CcfScheduler().schedule(prob), topo);
-    const double rack =
-        rack_makespan(w.matrix, RackCcfScheduler(topo).schedule(prob), topo);
+        rack_makespan(w.matrix, CcfScheduler().schedule(prob), *topo);
+    const double rack = rack_makespan(
+        w.matrix, RackCcfScheduler(topo->topology()).schedule(prob), *topo);
     EXPECT_LE(rack, flat * 1.05 + 1e-9) << "seed " << seed;
     flat_total += flat;
     rack_total += rack;
@@ -103,17 +106,18 @@ TEST(RackCcfScheduler, BeatsFlatCcfUnderOversubscription) {
 TEST(RackCcfScheduler, DegeneratesGracefullyOnSingleRack) {
   // One full-bisection rack == the flat fabric: both heuristics should land
   // within a whisker of each other (tie-breaking may differ).
-  const net::RackFabric topo(1, 8, 10.0, 1.0);
+  const auto topo = one_spine_leaf_spine(1, 8, 10.0, 1.0);
   const auto m = random_matrix(40, 8, 5);
   AssignmentProblem prob;
   prob.matrix = &m;
-  const double flat = rack_makespan(m, CcfScheduler().schedule(prob), topo);
-  const double rack = rack_makespan(m, RackCcfScheduler(topo).schedule(prob), topo);
+  const double flat = rack_makespan(m, CcfScheduler().schedule(prob), *topo);
+  const double rack = rack_makespan(
+      m, RackCcfScheduler(topo->topology()).schedule(prob), *topo);
   EXPECT_NEAR(rack, flat, 0.05 * flat);
 }
 
 TEST(RackCcfScheduler, AccountsForInitialFlows) {
-  const net::RackFabric topo(2, 2, 10.0, 2.0);
+  const auto topo = one_spine_leaf_spine(2, 2, 10.0, 2.0);
   const auto m = random_matrix(8, 4, 6);
   AssignmentProblem prob;
   prob.matrix = &m;
@@ -121,27 +125,36 @@ TEST(RackCcfScheduler, AccountsForInitialFlows) {
   net::FlowMatrix initial(4);
   initial.set(0, 2, 500.0);
   initial.set(1, 3, 500.0);
-  RackCcfScheduler sched(topo);
+  RackCcfScheduler sched(topo->topology());
   const Assignment without = sched.schedule(prob);
   sched.set_initial_flows(&initial);
   const Assignment with = sched.schedule(prob);
   // The schedules may differ; what must hold is that accounting for the
   // initial flows never yields a worse combined Γ.
   auto combined_gamma = [&](const Assignment& dest) {
-    return net::gamma_bound(assignment_flows(m, dest, initial), topo);
+    return net::gamma_bound(assignment_flows(m, dest, initial), *topo);
   };
   EXPECT_LE(combined_gamma(with), combined_gamma(without) + 1e-9);
 }
 
 TEST(RackCcfScheduler, InitialFlowSizeMismatchThrows) {
-  const net::RackFabric topo(2, 2);
+  const auto topo = one_spine_leaf_spine(2, 2, net::Fabric::kDefaultPortRate);
   const auto m = random_matrix(4, 4, 7);
   AssignmentProblem prob;
   prob.matrix = &m;
   net::FlowMatrix wrong(5);
-  RackCcfScheduler sched(topo);
+  RackCcfScheduler sched(topo->topology());
   sched.set_initial_flows(&wrong);
   EXPECT_THROW(sched.schedule(prob), std::invalid_argument);
+}
+
+TEST(RackCcfScheduler, RejectsAnyTopologyButAOneSpineLeafSpine) {
+  const auto two_spines = net::Topology::leaf_spine(2, 2, 2, 10.0, 1.0);
+  EXPECT_THROW(RackCcfScheduler{*two_spines}, std::invalid_argument);
+  const auto fat_tree = net::Topology::fat_tree(4, 10.0);
+  EXPECT_THROW(RackCcfScheduler{*fat_tree}, std::invalid_argument);
+  const auto waxman = net::Topology::waxman(8, 10.0, 1, {});
+  EXPECT_THROW(RackCcfScheduler{*waxman}, std::invalid_argument);
 }
 
 }  // namespace

@@ -24,7 +24,7 @@
 
 #include "net/io.hpp"
 #include "net/metrics.hpp"
-#include "net/rack.hpp"
+#include "testing/leaf_spine.hpp"
 
 namespace ccf::net {
 namespace {
@@ -165,7 +165,8 @@ TEST(Demand, MarginalsMatchDensePerPortLoads) {
 }
 
 TEST(Demand, LinkAndGammaMetricsMatchDenseBitwise) {
-  const RackFabric network(2, 2, 100.0, 2.0);  // 4 hosts, oversubscribed
+  const auto rack = testing::one_spine_leaf_spine(2, 2, 100.0, 2.0);
+  const Network& network = *rack;  // 4 hosts, oversubscribed
   FlowMatrix m(4);
   m.set(0, 2, 400.0);  // cross-rack
   m.set(0, 1, 100.0);  // intra-rack

@@ -14,9 +14,9 @@
 #include <string>
 #include <tuple>
 
-#include "net/rack.hpp"
 #include "net/simulator.hpp"
 #include "testing/invariants.hpp"
+#include "testing/leaf_spine.hpp"
 #include "util/rng.hpp"
 
 namespace ccf::net {
@@ -72,7 +72,8 @@ SimReport run_engine(const std::vector<CoflowSpec>& specs, bool rack,
   config.engine = engine;
   config.parallel_advance_threshold = parallel_threshold;
   auto network = rack
-                     ? std::shared_ptr<const Network>(new RackFabric(3, 2, 10.0))
+                     ? std::shared_ptr<const Network>(
+                           testing::one_spine_leaf_spine(3, 2, 10.0))
                      : std::shared_ptr<const Network>(new Fabric(6, 10.0));
   Simulator sim(std::move(network), testing::make_invariant_checked(allocator),
                 config);

@@ -13,9 +13,9 @@
 #include <tuple>
 #include <vector>
 
-#include "net/rack.hpp"
 #include "net/simulator.hpp"
 #include "testing/invariants.hpp"
+#include "testing/leaf_spine.hpp"
 #include "util/rng.hpp"
 
 namespace ccf::net {
@@ -73,7 +73,8 @@ RunResult run(std::uint64_t seed, const RunSetup& setup) {
   config.parallel_advance_threshold = setup.parallel_threshold;
   config.record_trace = true;
   auto network =
-      setup.rack ? std::shared_ptr<const Network>(new RackFabric(3, 2, 10.0))
+      setup.rack ? std::shared_ptr<const Network>(
+                       testing::one_spine_leaf_spine(3, 2, 10.0))
                  : std::shared_ptr<const Network>(new Fabric(6, 10.0));
   Simulator sim(network, testing::make_invariant_checked(setup.allocator),
                 config);

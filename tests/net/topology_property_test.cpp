@@ -1,5 +1,6 @@
-// Cross-topology property sweep: on every Network implementation — flat
-// fabric, rack fabric, routed leaf-spine — the same engine invariants hold:
+// Cross-topology property sweep: on every Network — flat fabric, one-spine
+// (rack) leaf-spine, two-spine leaf-spine routed by route_greedy — the same
+// engine invariants hold:
 //   (i)   single-coflow MADD CCT equals the analytic Γ of that topology;
 //   (ii)  no allocator beats Γ;
 //   (iii) bytes are conserved;
@@ -10,9 +11,9 @@
 #include <memory>
 
 #include "net/metrics.hpp"
-#include "net/multipath.hpp"
-#include "net/rack.hpp"
 #include "net/simulator.hpp"
+#include "net/topology.hpp"
+#include "testing/leaf_spine.hpp"
 #include "util/rng.hpp"
 
 namespace ccf::net {
@@ -40,12 +41,10 @@ FlowMatrix random_flows(std::uint64_t seed) {
 std::vector<std::shared_ptr<const Network>> topologies(const FlowMatrix& m) {
   std::vector<std::shared_ptr<const Network>> nets;
   nets.push_back(std::make_shared<const Fabric>(kNodes, kRate));
+  nets.push_back(testing::one_spine_leaf_spine(kRacks, kHosts, kRate, 2.0));
+  const auto mp = Topology::leaf_spine(kRacks, kHosts, 2, kRate, 2.0);
   nets.push_back(
-      std::make_shared<const RackFabric>(kRacks, kHosts, kRate, 2.0));
-  const auto mp = std::make_shared<const MultiPathFabric>(
-      kRacks, kHosts, 2, kRate, kHosts * kRate / 4.0);
-  nets.push_back(
-      std::make_shared<const RoutedNetwork>(mp, route_least_loaded(*mp, m)));
+      std::make_shared<const RoutedTopology>(mp, route_greedy(*mp, m)));
   return nets;
 }
 
@@ -87,12 +86,11 @@ TEST_P(TopologyProperty, BytesConservedOnEveryTopology) {
 TEST_P(TopologyProperty, ConstraintLayersOnlySlowTheCoflow) {
   const FlowMatrix m = random_flows(GetParam() + 150);
   const Fabric flat(kNodes, kRate);
-  const RackFabric rack(kRacks, kHosts, kRate, 2.0);
-  const auto mp = std::make_shared<const MultiPathFabric>(
-      kRacks, kHosts, 2, kRate, kHosts * kRate / 4.0);
-  const RoutedNetwork routed(mp, route_least_loaded(*mp, m));
+  const auto rack = testing::one_spine_leaf_spine(kRacks, kHosts, kRate, 2.0);
+  const auto mp = Topology::leaf_spine(kRacks, kHosts, 2, kRate, 2.0);
+  const RoutedTopology routed(mp, route_greedy(*mp, m));
   const double g_flat = gamma_bound(m, flat);
-  const double g_rack = gamma_bound(m, rack);
+  const double g_rack = gamma_bound(m, *rack);
   const double g_routed = gamma_bound(m, routed);
   // Rack adds uplink constraints on top of the host ports; the routed
   // leaf-spine splits the same aggregate uplink over fixed per-flow paths.

@@ -35,8 +35,8 @@
 #include "net/fabric.hpp"
 #include "net/flow.hpp"
 #include "net/metrics.hpp"
-#include "net/rack.hpp"
 #include "net/simulator.hpp"
+#include "testing/leaf_spine.hpp"
 #include "util/rng.hpp"
 
 namespace ccf::sched {
@@ -120,7 +120,7 @@ std::vector<Instance> sweep_instances() {
   std::vector<Topo> topologies;
   topologies.push_back({"flat6", std::make_shared<net::Fabric>(6, 1.0), 6});
   topologies.push_back(
-      {"rack3x2", std::make_shared<net::RackFabric>(3, 2, 1.0, 2.0), 6});
+      {"rack3x2", testing::one_spine_leaf_spine(3, 2, 1.0, 2.0), 6});
   for (const Topo& topo : topologies) {
     for (const Family family : {Family::kUniform, Family::kIncast,
                                 Family::kMixed}) {
