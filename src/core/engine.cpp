@@ -253,19 +253,21 @@ void Engine::drain_into(EngineReport& report) {
       },
       options_.placement_threads);
 
-  // Memoize the freshly computed plans (before stage_coflow consumes the
-  // flow matrices). Wholesale eviction when full — see EngineOptions.
+  // Memoize the freshly computed plans. The miss keeps the memoized flow
+  // list and registers from it below, as a hit does, so the list is built
+  // once. Wholesale eviction when full — see EngineOptions.
   if (options_.plan_cache_capacity > 0) {
     const std::scoped_lock lock(mutex_);
-    for (const RunContext& ctx : batch) {
+    for (RunContext& ctx : batch) {
       if (ctx.plan_cached || !ctx.workload || !ctx.flows) continue;
       if (plan_cache_.size() >= options_.plan_cache_capacity) {
         plan_cache_.clear();
       }
+      ctx.plan_flows = std::make_shared<const std::vector<net::Flow>>(
+          ctx.flows->to_flows(options_.sim.completion_epsilon));
       PlanEntry plan{
           ctx.workload,
-          std::make_shared<const std::vector<net::Flow>>(
-              ctx.flows->to_flows(options_.sim.completion_epsilon)),
+          ctx.plan_flows,
           ctx.traffic_bytes,
           ctx.makespan_bytes,
           ctx.gamma_seconds,
@@ -295,12 +297,14 @@ void Engine::drain_into(EngineReport& report) {
       } else {
         epoch_demand_->clear();
       }
+      // A miss routes from its demand whether or not it was memoized, so a
+      // plan cache never changes what the router sees for one.
       for (const RunContext& ctx : batch) {
-        if (ctx.plan_flows) {
+        if (ctx.flows) {
+          epoch_demand_->accumulate(*ctx.flows);
+        } else if (ctx.plan_flows) {
           epoch_demand_->accumulate(
               std::span<const net::Flow>(*ctx.plan_flows));
-        } else if (ctx.flows) {
-          epoch_demand_->accumulate(*ctx.flows);
         }
       }
       routed = std::make_shared<const net::RoutedTopology>(
@@ -329,6 +333,7 @@ void Engine::drain_into(EngineReport& report) {
         spec.prenormalized = true;  // memoized to_flows output
         spec.weight = ctx.weight;
         sim_->add_coflow(std::move(spec));
+        ctx.flows.reset();  // a memoized miss's demand, no longer needed
       } else if (ctx.sparse) {
         // Registered verbatim: start offsets, duplicate records and the
         // spec's own prenormalized flag survive (the spec was validated

@@ -16,6 +16,12 @@ constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 double seconds_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
 }
+
+/// Fold a sample into a group-commit average (negative = no sample yet, so
+/// the first sample is taken as is). The newest sample weighs 1/8.
+void ewma_add(double& average, double sample) {
+  average = average < 0.0 ? sample : average + (sample - average) / 8.0;
+}
 }  // namespace
 
 Service::Service(ServiceOptions options, EpochCallback on_epoch)
@@ -102,11 +108,12 @@ SubmitResult Service::submit(std::size_t tenant, QuerySpec spec) {
   if (tenant >= tenants_.size()) {
     return {SubmitStatus::kUnknownTenant, 0};
   }
-  // Validate here, against the same rules Engine::submit enforces, so the
-  // driver thread can never throw: a bad spec is an error code at the door,
-  // not an exception N microseconds later on another thread. Sparse
-  // submissions validate their flow list; workload submissions validate the
-  // placement inputs.
+  // Validate here, against the same rules Engine::submit enforces, so a bad
+  // spec is an error code at the door, not a failed epoch N microseconds
+  // later on another thread. What validation cannot rule out (a simulator
+  // guard, an allocation failure) the driver catches and delivers as a
+  // kFailed epoch. Sparse submissions validate their flow list; workload
+  // submissions validate the placement inputs.
   const bool valid =
       spec.sparse
           ? sparse_spec_valid(*spec.sparse, options_.engine.nodes)
@@ -191,10 +198,52 @@ void Service::form_batch(Shard& shard) {
   }
 }
 
+void Service::drain_epoch(Shard& shard) {
+  ShardEpoch& epoch = shard.epoch;
+  epoch.status = EpochStatus::kOk;
+  epoch.error.clear();
+  try {
+    // The epoch record keeps each spec verbatim (workload pointer included);
+    // the Engine gets its own copy. That pair is what the replay determinism
+    // test drives: re-submitting epoch.queries[i].spec through a fresh
+    // serial Engine must reproduce epoch.report bit-for-bit.
+    for (const ServiceQuery& query : epoch.queries) {
+      shard.engine.submit(query.spec);
+    }
+    shard.engine.drain_into(epoch.report);
+    return;
+  } catch (const std::exception& e) {
+    epoch.error = e.what();
+  } catch (...) {
+    epoch.error = "unknown exception";
+  }
+  epoch.status = EpochStatus::kFailed;
+  // A throw inside Engine::submit leaves the batch's earlier queries pending.
+  // Drain them now, results unread, so they cannot land in the next epoch's
+  // report. A drain claims its whole batch before anything in it can throw,
+  // and the next drain resets the simulator and its arena, so after this the
+  // session holds nothing of the failed epoch.
+  if (shard.engine.pending() > 0) {
+    try {
+      shard.engine.drain_into(epoch.report);
+    } catch (...) {
+      // The epoch has failed already; epoch.error holds the first cause.
+    }
+  }
+  epoch.report = EngineReport{};
+}
+
 void Service::pump(Shard& shard) {
   const auto stage_incoming = [&](Clock::time_point& oldest) {
     for (Submission& s : shard.incoming) {
       if (shard.staged_count == 0) oldest = s.submitted;
+      if (shard.last_staged != Clock::time_point{}) {
+        // Submitters on other threads stamp out of ring order: clamp at 0.
+        ewma_add(shard.gap_ewma,
+                 std::max(0.0, seconds_between(shard.last_staged,
+                                               s.submitted)));
+      }
+      shard.last_staged = s.submitted;
       shard.staged[s.tenant].push_back(std::move(s));
       ++shard.staged_count;
     }
@@ -223,7 +272,13 @@ void Service::pump(Shard& shard) {
     }
 
     // Batch accumulation: top up until the batch is full or the oldest
-    // staged submission has waited out the deadline.
+    // staged submission has waited out the deadline. Group commit: once the
+    // ring runs dry on a shard whose epochs drain faster than submissions
+    // arrive, a batch partner would arrive after this epoch could have
+    // finished, so the wait only adds latency; dispatch what is staged. A
+    // shard that falls behind keeps waiting, and batches amortize its
+    // per-epoch cost. A fresh shard has no samples and waits too, so a burst
+    // into it still drains as full batches.
     const Clock::time_point deadline = oldest_staged + options_.max_wait;
     while (shard.staged_count < options_.max_batch &&
            !stopped_.load(std::memory_order_acquire)) {
@@ -232,6 +287,7 @@ void Service::pump(Shard& shard) {
         stage_incoming(oldest_staged);
         continue;
       }
+      if (shard.keeps_up()) break;
       const Clock::time_point now = Clock::now();
       if (now >= deadline) break;
       std::unique_lock lock(shard.wake_mutex);
@@ -245,18 +301,23 @@ void Service::pump(Shard& shard) {
           });
     }
 
+    const Clock::time_point busy_from = Clock::now();
     form_batch(shard);
-    // The epoch record keeps each spec verbatim (workload pointer included);
-    // the Engine gets its own copy. That pair is what the replay determinism
-    // test drives: re-submitting epoch.queries[i].spec through a fresh
-    // serial Engine must reproduce epoch.report bit-for-bit.
-    for (const ServiceQuery& query : shard.epoch.queries) {
-      shard.engine.submit(query.spec);
-    }
-    shard.engine.drain_into(shard.epoch.report);
+    drain_epoch(shard);
     shard.epoch.seq = shard.seq++;
     epochs_.fetch_add(1, std::memory_order_relaxed);
-    if (on_epoch_) on_epoch_(shard.epoch);
+    bool failed = shard.epoch.status != EpochStatus::kOk;
+    if (on_epoch_) {
+      // The handler's throw is its own to report; the shard counts it and
+      // goes on, so one bad callback cannot end the process or stall flush().
+      try {
+        on_epoch_(shard.epoch);
+      } catch (...) {
+        failed = true;
+      }
+    }
+    if (failed) failed_epochs_.fetch_add(1, std::memory_order_relaxed);
+    ewma_add(shard.drain_ewma, seconds_between(busy_from, Clock::now()));
     completed_.fetch_add(shard.epoch.queries.size(),
                          std::memory_order_release);
     {
@@ -303,6 +364,7 @@ ServiceStats Service::stats() const {
   stats.invalid = invalid_.load(std::memory_order_relaxed);
   stats.completed = completed_.load(std::memory_order_relaxed);
   stats.epochs = epochs_.load(std::memory_order_relaxed);
+  stats.failed_epochs = failed_epochs_.load(std::memory_order_relaxed);
   return stats;
 }
 

@@ -3,10 +3,13 @@
 // The Engine is a session: callers submit, then drain, on their own cadence.
 // The Service productionizes that loop. N Engine shards sit behind a bounded
 // lock-free MPMC submission queue each; one driver thread per shard
-// accumulates submissions into drain batches and triggers an epoch when the
-// batch-size or deadline policy fires. Clients only ever touch submit() — a
-// ticket comes back immediately, and the epoch's results arrive on the
-// on_epoch callback (driver thread) once the shard drains.
+// accumulates submissions into drain batches by group commit: a shard whose
+// epochs drain faster than its submissions arrive dispatches what it has
+// staged at once, and a shard that falls behind fills a batch up to
+// max_batch or until its oldest submission has waited max_wait. Clients only
+// ever touch submit() — a ticket comes back immediately, and the epoch's
+// results arrive on the on_epoch callback (driver thread) once the shard
+// drains.
 //
 //   Service service({.engine = {.nodes = 16, .allocator = "ccf"},
 //                    .shards = 2},
@@ -72,11 +75,19 @@ struct ServiceOptions {
   /// the tenant -> shard map alone decides which fabric a query lands on).
   EngineOptions engine;
   std::size_t shards = 1;
-  /// Drain policy: an epoch fires when max_batch submissions are staged, or
-  /// when the oldest staged submission has waited max_wait, whichever comes
-  /// first. Small batches bound both latency and the superlinear per-epoch
-  /// simulation cost (the event count grows with coflows in flight).
+  /// Drain policy (group commit). An epoch drains at most max_batch
+  /// submissions. Each driver keeps two moving averages: how long its epochs
+  /// take, and how far apart its submissions arrive. While epochs take less
+  /// than the gap, an empty ring dispatches whatever is staged at once;
+  /// otherwise (and on a fresh shard, before both averages have a sample)
+  /// the epoch fires when max_batch submissions are staged or the oldest has
+  /// waited max_wait, whichever comes first. Small batches bound both
+  /// latency and the superlinear per-epoch simulation cost (the event count
+  /// grows with coflows in flight).
   std::size_t max_batch = 2;
+  /// The batch deadline of a shard that falls behind, and how long an idle
+  /// driver sleeps before it re-polls its ring (a bound on the latency a
+  /// missed wake-up can add).
   std::chrono::microseconds max_wait{200};
   /// Per-shard submission ring capacity (rounded up to a power of two).
   /// submit() returns kQueueFull instead of blocking when a ring is full.
@@ -110,15 +121,27 @@ struct ServiceQuery {
   std::chrono::steady_clock::time_point submitted;
 };
 
+enum class EpochStatus : std::uint8_t {
+  kOk = 0,
+  kFailed,  ///< the Engine threw while draining; see ShardEpoch::error
+};
+
 /// One drain epoch of one shard, delivered to the on_epoch callback on that
 /// shard's driver thread. queries[i] produced report.queries[i]. Callbacks
 /// for different shards run concurrently; the handler must tolerate that.
 /// The reference is only valid during the callback.
+///
+/// A failed epoch (status kFailed: a simulator guard such as
+/// SimConfig::max_time, an allocation failure, a routing policy) carries its
+/// queries, the exception's message in `error` and an empty report. Its
+/// queries count as completed, and the shard goes on with the next epoch.
 struct ShardEpoch {
   std::size_t shard = 0;
   std::uint64_t seq = 0;  ///< per-shard epoch counter, from 0
   std::vector<ServiceQuery> queries;
   EngineReport report;
+  EpochStatus status = EpochStatus::kOk;
+  std::string error;  ///< what() of the drain's exception when kFailed
 };
 
 /// Monotonic service-wide counters (all submissions ever, any shard).
@@ -129,7 +152,10 @@ struct ServiceStats {
   std::uint64_t queue_full = 0;
   std::uint64_t invalid = 0;
   std::uint64_t completed = 0;  ///< accepted submissions drained
-  std::uint64_t epochs = 0;
+  std::uint64_t epochs = 0;     ///< drain epochs, failed ones included
+  /// Epochs whose drain threw (delivered with EpochStatus::kFailed) or whose
+  /// on_epoch callback threw. Their queries count as completed.
+  std::uint64_t failed_epochs = 0;
 };
 
 class Service {
@@ -218,6 +244,19 @@ class Service {
     std::uint64_t seq = 0;
     ShardEpoch epoch;        ///< reused across epochs (buffer reuse)
     std::vector<Submission> incoming;  ///< pop_batch scratch
+    /// Group-commit measurements, in seconds; negative until the first
+    /// sample. drain_ewma averages an epoch's busy time (batch formation
+    /// through the return of on_epoch), gap_ewma the spacing of consecutive
+    /// staged submissions' stamps; last_staged is the latest staged stamp
+    /// (the clock's epoch before the first).
+    double drain_ewma = -1.0;
+    double gap_ewma = -1.0;
+    std::chrono::steady_clock::time_point last_staged{};
+    /// Epochs drain faster than submissions arrive (false until both
+    /// averages have a sample).
+    bool keeps_up() const noexcept {
+      return drain_ewma >= 0.0 && drain_ewma < gap_ewma;
+    }
     std::thread driver;
   };
 
@@ -226,6 +265,9 @@ class Service {
   /// Move up to max_batch staged submissions into shard.epoch.queries by
   /// smooth WRR over the tenants with staged work.
   void form_batch(Shard& shard);
+  /// Submit the formed batch to the shard's Engine and drain it into
+  /// shard.epoch, turning a throw into a kFailed epoch.
+  void drain_epoch(Shard& shard);
 
   ServiceOptions options_;
   EpochCallback on_epoch_;
@@ -248,6 +290,7 @@ class Service {
   std::atomic<std::uint64_t> invalid_{0};
   std::atomic<std::uint64_t> completed_{0};
   std::atomic<std::uint64_t> epochs_{0};
+  std::atomic<std::uint64_t> failed_epochs_{0};
 };
 
 }  // namespace ccf::core

@@ -79,8 +79,9 @@ struct RunContext {
   /// The memoized normalized flow list (what to_flows would produce from the
   /// regenerated matrix), shared with the plan-cache entry: cache hits skip
   /// the dense-matrix copy AND its per-coflow flattening — the drain feeds
-  /// the simulator through the sparse ingestion path instead. Null unless
-  /// plan_cached.
+  /// the simulator through the sparse ingestion path instead. Set at
+  /// submission for a hit, and at the drain that memoizes a miss; null
+  /// otherwise.
   std::shared_ptr<const std::vector<net::Flow>> plan_flows;
 };
 

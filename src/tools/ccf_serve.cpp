@@ -18,8 +18,9 @@
 // heavy-tailed generator over --nodes racks) submitted as SparseCoflowSpec
 // flow lists — the n²-free ingestion path, which is what lets a 10k-rack
 // epoch run behind the service: try --sparse --nodes 10000 --queries 10000.
-// Prints a per-tenant admission table and the service summary (epochs,
-// sustained queries/sec, submit-to-drain latency percentiles).
+// Prints a per-tenant admission table and the service summary (epochs, failed
+// epochs, mean batch size, sustained queries/sec, submit-to-drain latency
+// percentiles).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -89,7 +90,9 @@ int main(int argc, char** argv) {
                   "per-tenant token-bucket rate (0 = unlimited)");
     args.add_flag("burst", "64", "per-tenant token-bucket depth");
     args.add_flag("batch", "2", "drain batch size (Service max_batch)");
-    args.add_flag("wait-us", "200", "drain deadline in microseconds");
+    args.add_flag("wait-us", "200",
+                  "batch deadline in microseconds once a shard falls behind "
+                  "(a shard that keeps up drains at once)");
     args.add_flag("queue", "1024", "per-shard submission ring capacity");
     args.add_flag("queries", "50000", "total queries to submit");
     args.add_flag("target-qps", "0",
@@ -239,6 +242,13 @@ int main(int argc, char** argv) {
     summary.add_row({"accepted", std::to_string(stats.accepted)});
     summary.add_row({"completed", std::to_string(stats.completed)});
     summary.add_row({"epochs", std::to_string(stats.epochs)});
+    summary.add_row({"failed epochs", std::to_string(stats.failed_epochs)});
+    summary.add_row(
+        {"batch mean",
+         fixed(stats.epochs == 0 ? 0.0
+                                 : static_cast<double>(stats.completed) /
+                                       static_cast<double>(stats.epochs),
+               2)});
     summary.add_row({"elapsed s", fixed(elapsed.count(), 3)});
     summary.add_row(
         {"queries/sec",

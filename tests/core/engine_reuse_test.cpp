@@ -122,31 +122,41 @@ INSTANTIATE_TEST_SUITE_P(AllAllocators, SessionReuse, ::testing::ValuesIn([] {
                          });
 
 TEST(SessionReuseDetails, PlanCacheOnlyChangesTheWallClock) {
-  EngineOptions cached;
-  cached.nodes = 4;
-  EngineOptions uncached = cached;
-  uncached.plan_cache_capacity = 0;
-  Engine with_cache(cached);
-  Engine without_cache(uncached);
-  const auto workloads = prepared_set(2);
+  // The flat fabric, and a routed leaf-spine whose joint routing re-runs
+  // every epoch over the batch's aggregate demand: the cached session's
+  // misses and hits must feed the router exactly what the uncached session's
+  // misses do.
+  for (const std::string topology :
+       {"", "leafspine:racks=2,hosts=2,spines=2,oversub=2"}) {
+    SCOPED_TRACE(topology);
+    EngineOptions cached;
+    cached.nodes = 4;
+    cached.topology = topology;
+    if (!topology.empty()) cached.routing = "joint";
+    EngineOptions uncached = cached;
+    uncached.plan_cache_capacity = 0;
+    Engine with_cache(cached);
+    Engine without_cache(uncached);
+    const auto workloads = prepared_set(2);
 
-  for (int epoch = 0; epoch < 4; ++epoch) {
-    submit_epoch(with_cache, workloads);
-    submit_epoch(without_cache, workloads);
-    const EngineReport hot = with_cache.drain();
-    const EngineReport cold = without_cache.drain();
-    expect_identical_numbers(hot, cold);
-    if (epoch > 0) {
-      // The hit's reported placement time is exactly zero: the stage graph
-      // never ran.
-      for (const RunReport& r : hot.queries) {
-        EXPECT_EQ(r.schedule_seconds, 0.0);
+    for (int epoch = 0; epoch < 4; ++epoch) {
+      submit_epoch(with_cache, workloads);
+      submit_epoch(without_cache, workloads);
+      const EngineReport hot = with_cache.drain();
+      const EngineReport cold = without_cache.drain();
+      expect_identical_numbers(hot, cold);
+      if (epoch > 0) {
+        // The hit's reported placement time is exactly zero: the stage
+        // graph never ran.
+        for (const RunReport& r : hot.queries) {
+          EXPECT_EQ(r.schedule_seconds, 0.0);
+        }
       }
     }
+    EXPECT_EQ(without_cache.stats().plan_hits, 0u);
+    EXPECT_EQ(without_cache.stats().plan_misses, 8u);
+    EXPECT_EQ(with_cache.stats().plan_hits, 6u);
   }
-  EXPECT_EQ(without_cache.stats().plan_hits, 0u);
-  EXPECT_EQ(without_cache.stats().plan_misses, 8u);
-  EXPECT_EQ(with_cache.stats().plan_hits, 6u);
 }
 
 /// Submits (workload index, placement policy) pairs in the given order.

@@ -8,6 +8,12 @@
 //  3. Admission control — token buckets throttle at the door; weights shape
 //     the batch order via smooth WRR; invalid specs are status codes, not
 //     driver-thread exceptions.
+//  4. Group commit — a shard that keeps up dispatches a lone submission at
+//     once instead of waiting out max_wait, and a burst into a fresh shard
+//     still fills one batch.
+//  5. Failure isolation — an epoch whose drain or callback throws is
+//     delivered or counted as failed, its tickets complete, and the shard's
+//     later epochs replay bit-identically.
 //
 // The suite carries the tsan_smoke label: the sanitizer build races real
 // client threads against the shard drivers.
@@ -20,6 +26,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,12 +37,12 @@
 namespace ccf::core {
 namespace {
 
-data::Workload tiny_workload(std::uint64_t seed) {
+data::Workload tiny_workload(std::uint64_t seed, double scale = 1.0) {
   data::WorkloadSpec spec;
   spec.nodes = 4;
   spec.partitions = 8;
-  spec.customer_bytes = 4e6;
-  spec.orders_bytes = 4e7;
+  spec.customer_bytes = 4e6 * scale;
+  spec.orders_bytes = 4e7 * scale;
   spec.zipf_theta = 0.8;
   spec.skew = 0.3;
   spec.seed = seed;
@@ -285,6 +292,124 @@ TEST(Service, ShardEnginesReusePlansAcrossEpochs) {
 
   // And the cached epochs still replay bit-identically.
   for (const ShardEpoch& epoch : log.epochs) {
+    Engine fresh(options.engine);
+    for (const ServiceQuery& q : epoch.queries) fresh.submit(q.spec);
+    expect_identical_numbers(epoch.report, fresh.drain());
+  }
+}
+
+TEST(Service, IdleShardDispatchesWithoutWaitingOutMaxWait) {
+  ServiceOptions options = base_options(1, 1);
+  options.max_batch = 2;
+  options.max_wait = std::chrono::seconds(2);
+  const auto workloads = prepared_set(1);
+  Service service(options);
+
+  // A warm-up burst fills whole batches, so nothing waits on the deadline.
+  // It gives the driver its drain and arrival-gap samples, and enough
+  // epochs that the first one's cold placement (about 100x a hit's drain
+  // under ThreadSanitizer) has decayed out of the drain average.
+  for (int i = 0; i < 128; ++i) {
+    ASSERT_TRUE(service.submit(0, QuerySpec("warm", workloads[0])).accepted());
+  }
+  service.flush();
+  const std::uint64_t warm_epochs = service.stats().epochs;
+
+  // Lone submissions 20 ms apart on a shard whose epochs take far less: a
+  // batch partner cannot arrive in time, so each drains at once rather than
+  // after the 2 s deadline.
+  for (int i = 0; i < 10; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(service.submit(0, QuerySpec("lone", workloads[0])).accepted());
+    service.flush();
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::milliseconds(500))
+        << "lone submission " << i;
+  }
+  EXPECT_EQ(service.stats().epochs - warm_epochs, 10u);
+}
+
+TEST(Service, BurstIntoFreshShardDrainsAsOneEpoch) {
+  EpochLog log;
+  ServiceOptions options = base_options(1, 1);
+  options.max_batch = 64;
+  options.max_wait = std::chrono::seconds(10);
+  const auto workloads = prepared_set(4);
+  Service service(options, log.callback());
+
+  // A fresh shard has measured nothing, so it waits for the batch to fill
+  // instead of dispatching the burst's first submission alone.
+  for (std::size_t i = 0; i < 64; ++i) {
+    ASSERT_TRUE(service
+                    .submit(0, QuerySpec("q" + std::to_string(i),
+                                         workloads[i % workloads.size()]))
+                    .accepted());
+  }
+  service.flush();
+  service.stop();
+  EXPECT_EQ(service.stats().epochs, 1u);
+  ASSERT_EQ(log.epochs.size(), 1u);
+  EXPECT_EQ(log.epochs[0].queries.size(), 64u);
+}
+
+TEST(Service, FailedEpochsCompleteTheirTicketsAndTheShardRecovers) {
+  ServiceOptions options = base_options(1, 1);
+  options.max_batch = 1;  // every submission is its own epoch
+  // The small join's epoch ends well inside max_time (0.07 s); the 1000x
+  // join's flows, fair-shared, finish at different times past it (the last
+  // at 69 s), so its drain throws from the simulator's guard. (Under MADD a
+  // lone coflow's flows all finish together: no event falls past max_time.)
+  options.engine.allocator = "fair";
+  options.engine.sim.max_time = 10.0;
+  const auto small = std::make_shared<const data::Workload>(tiny_workload(1));
+  const auto big =
+      std::make_shared<const data::Workload>(tiny_workload(2, 1000.0));
+
+  EpochLog log;
+  const Service::EpochCallback record = log.callback();
+  constexpr std::uint64_t kThrowingCallbackSeq = 3;
+  Service service(options, [&record](const ShardEpoch& epoch) {
+    record(epoch);
+    if (epoch.seq == kThrowingCallbackSeq) {
+      throw std::runtime_error("handler failed");
+    }
+  });
+  // small, big (fails: miss), small, small (its handler throws), big (fails:
+  // plan-cache hit), small.
+  const std::vector<std::shared_ptr<const data::Workload>> stream = {
+      small, big, small, small, big, small};
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    ASSERT_TRUE(
+        service.submit(0, QuerySpec("q" + std::to_string(i), stream[i]))
+            .accepted());
+    service.flush();  // one epoch per submission, in stream order
+  }
+  service.stop();
+
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.accepted, 6u);
+  EXPECT_EQ(stats.completed, 6u);
+  EXPECT_EQ(stats.epochs, 6u);
+  EXPECT_EQ(stats.failed_epochs, 3u);  // two drains and one handler
+
+  ASSERT_EQ(log.epochs.size(), 6u);
+  for (std::size_t i = 0; i < log.epochs.size(); ++i) {
+    const ShardEpoch& epoch = log.epochs[i];
+    SCOPED_TRACE(i);
+    EXPECT_EQ(epoch.seq, i);
+    ASSERT_EQ(epoch.queries.size(), 1u);
+    if (stream[i] == big) {
+      EXPECT_EQ(epoch.status, EpochStatus::kFailed);
+      EXPECT_NE(epoch.error.find("max_time"), std::string::npos)
+          << epoch.error;
+      EXPECT_TRUE(epoch.report.queries.empty());
+      continue;
+    }
+    EXPECT_EQ(epoch.status, EpochStatus::kOk);
+    EXPECT_TRUE(epoch.error.empty());
+    // Drains after a failed one start from a recovered session: each
+    // replays bit-identically through a fresh Engine.
     Engine fresh(options.engine);
     for (const ServiceQuery& q : epoch.queries) fresh.submit(q.spec);
     expect_identical_numbers(epoch.report, fresh.drain());
