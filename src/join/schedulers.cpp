@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "opt/greedy.hpp"
@@ -35,8 +36,12 @@ Assignment CcfScheduler::schedule(const AssignmentProblem& problem) {
 Assignment CcfLsScheduler::schedule(const AssignmentProblem& problem) {
   problem.validate();
   const opt::PartitionStats stats(problem.matrix);
-  Assignment dest = opt::greedy(problem, stats);
-  opt::refine(problem, stats, dest);
+  // Algorithm 1, then the local search from the greedy's own final loads.
+  opt::LoadProfile loads = opt::initial_loads(problem);
+  Assignment dest(problem.partitions(), 0);
+  opt::greedy_place(problem, stats, opt::descending_order(stats.max), loads,
+                    dest);
+  opt::refine(problem, stats, dest, std::move(loads));
   return dest;
 }
 
@@ -107,11 +112,7 @@ Assignment replace_failed_destinations(const AssignmentProblem& problem,
       affected.push_back(static_cast<std::uint32_t>(k));
       continue;
     }
-    const std::span<const double> row = m.partition_row(k);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i != dest[k]) loads.egress[i] += row[i];
-    }
-    loads.ingress[dest[k]] += stats.total[k] - row[dest[k]];
+    loads.place(m.partition_row(k), stats.total[k], dest[k]);
   }
 
   // Re-place the stranded partitions with the Algorithm-1 kernel, restricted

@@ -644,6 +644,15 @@ SimReport Simulator::run() {
     }
   };
 
+  // The clock moves only through here, so a run stops as soon as it passes
+  // max_time, even at an event that completes every active flow.
+  auto advance_clock = [&](double t) {
+    now = t;
+    if (now > config_.max_time) {
+      throw std::runtime_error("Simulator: max_time exceeded");
+    }
+  };
+
   activate_arrivals();
   apply_faults_due();
 
@@ -654,7 +663,7 @@ SimReport Simulator::run() {
       if (next_unarrived >= n) break;
       double t = start[next_unarrived];
       if (have_faults) t = std::min(t, fault_cal.next_time());
-      now = t;
+      advance_clock(t);
       activate_arrivals();
       apply_faults_due();
       continue;
@@ -667,9 +676,6 @@ SimReport Simulator::run() {
           " limit of " + std::to_string(max_events) +
           "; raise SimConfig.max_events if the workload is genuinely this "
           "large");
-    }
-    if (now > config_.max_time) {
-      throw std::runtime_error("Simulator: max_time exceeded");
     }
     ++report.events;
 
@@ -757,7 +763,7 @@ SimReport Simulator::run() {
         report.fault_events;
 
     // Advance the clock and all active flows.
-    now += dt;
+    advance_clock(now + dt);
     if (active_end >= config_.parallel_advance_threshold &&
         active_end > kAdvanceGrain) {
       // Phase 1 (parallel): per-flow remaining -= rate*dt plus per-chunk

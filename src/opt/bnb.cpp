@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -38,9 +40,10 @@ Clock::time_point deadline_from(double limit_s) {
 }
 
 // ===========================================================================
-// Reference solver — the seed's sequential search, kept verbatim as the
-// equivalence anchor and bench baseline: averaging-only lower bound, O(n²)
-// child rescan, per-node children allocation, greedy incumbent.
+// Reference solver — the seed's sequential search, kept as the equivalence
+// anchor and bench baseline: averaging-only lower bound, O(n²) child rescan,
+// per-node children allocation, greedy incumbent. Branches are undone
+// through LoadProfile's exact undo, as in the parallel solver.
 // ===========================================================================
 
 struct RefSearch {
@@ -49,8 +52,8 @@ struct RefSearch {
   const data::ChunkView* m;
   std::size_t n;
   std::vector<std::uint32_t> order;  // partitions, largest first
-  std::vector<double> egress;
-  std::vector<double> ingress;
+  LoadProfile loads;
+  std::vector<LoadProfile> undo;  // [depth]: what the branch there overwrote
   Assignment current;
   BnbResult best;
   BnbOptions options;
@@ -79,13 +82,6 @@ double averaging_lower_bound(const AssignmentProblem& problem,
   return std::max({current_T, spread_in, spread_out});
 }
 
-double profile_max(const RefSearch& ctx) {
-  double t = 0.0;
-  for (const double v : ctx.egress) t = std::max(t, v);
-  for (const double v : ctx.ingress) t = std::max(t, v);
-  return t;
-}
-
 void ref_dfs(RefSearch& ctx, std::size_t depth, double current_T) {
   if (ctx.aborted) return;
   ++ctx.best.nodes_explored;
@@ -105,7 +101,8 @@ void ref_dfs(RefSearch& ctx, std::size_t depth, double current_T) {
 
   const std::span<const std::uint32_t> unassigned(ctx.order.data() + depth,
                                                   ctx.order.size() - depth);
-  if (averaging_lower_bound(*ctx.problem, ctx.egress, ctx.ingress, unassigned,
+  if (averaging_lower_bound(*ctx.problem, ctx.loads.egress,
+                            ctx.loads.ingress, unassigned,
                             current_T) >= ctx.best.T) {
     return;  // prune
   }
@@ -120,9 +117,10 @@ void ref_dfs(RefSearch& ctx, std::size_t depth, double current_T) {
   for (std::uint32_t d = 0; d < ctx.n; ++d) {
     double t = 0.0;
     for (std::size_t i = 0; i < ctx.n; ++i) {
-      const double e = i == d ? ctx.egress[i] : ctx.egress[i] + ctx.m->h(k, i);
-      const double in =
-          i == d ? ctx.ingress[i] + (sk - ctx.m->h(k, d)) : ctx.ingress[i];
+      const double e = i == d ? ctx.loads.egress[i]
+                              : ctx.loads.egress[i] + ctx.m->h(k, i);
+      const double in = i == d ? ctx.loads.ingress[i] + (sk - ctx.m->h(k, d))
+                               : ctx.loads.ingress[i];
       t = std::max(t, std::max(e, in));
     }
     children.push_back({t, d});
@@ -132,20 +130,13 @@ void ref_dfs(RefSearch& ctx, std::size_t depth, double current_T) {
   for (const Child& c : children) {
     if (c.t >= ctx.best.T) break;  // children sorted: the rest are no better
     const std::uint32_t d = c.d;
-    // Apply.
-    for (std::size_t i = 0; i < ctx.n; ++i) {
-      if (i != d) ctx.egress[i] += ctx.m->h(k, i);
-    }
-    ctx.ingress[d] += sk - ctx.m->h(k, d);
+    ctx.loads.save(d, ctx.undo[depth]);
+    ctx.loads.place(ctx.m->partition_row(k), sk, d);
     ctx.current[k] = d;
 
     ref_dfs(ctx, depth + 1, c.t);
 
-    // Undo.
-    for (std::size_t i = 0; i < ctx.n; ++i) {
-      if (i != d) ctx.egress[i] -= ctx.m->h(k, i);
-    }
-    ctx.ingress[d] -= sk - ctx.m->h(k, d);
+    ctx.loads.restore(d, ctx.undo[depth]);
     if (ctx.aborted) return;
   }
 }
@@ -164,15 +155,14 @@ BnbResult solve_reference(const AssignmentProblem& problem,
   ctx.deadline = deadline_from(options.time_limit_s);
   ctx.order = descending_order(stats.total);
 
-  LoadProfile loads = initial_loads(problem);
-  ctx.egress = std::move(loads.egress);
-  ctx.ingress = std::move(loads.ingress);
+  ctx.loads = initial_loads(problem);
+  ctx.undo.resize(ctx.order.size());
   ctx.current.assign(m.partitions(), 0);
 
   ctx.best.dest = std::move(warm);
   ctx.best.T = makespan(problem, ctx.best.dest);
 
-  ref_dfs(ctx, 0, profile_max(ctx));
+  ref_dfs(ctx, 0, ctx.loads.makespan());
 
   ctx.best.optimal = !ctx.aborted;
   return ctx.best;
@@ -182,16 +172,24 @@ BnbResult solve_reference(const AssignmentProblem& problem,
 // Parallel portfolio solver
 // ===========================================================================
 
-/// State shared by every subtree worker. The incumbent lives twice: the
-/// atomic `best_T` is the lock-free read path for pruning (stale reads only
-/// cost pruning efficiency, never correctness), the mutex serializes the
-/// rare improvement writes together with the assignment they belong to.
+/// State shared by every subtree worker.
+///
+/// The incumbent is ordered totally by (T, rank), so the answer does not
+/// depend on which worker gets there first: the warm start has rank 0 and
+/// subtree task i has rank i + 1, and of two equal-T assignments the lower
+/// rank wins. `best_T` and `best_rank` are the lock-free read path for
+/// pruning; the mutex serializes the rare improvements together with the
+/// assignment they belong to. commit() stores the rank before T and readers
+/// load T before the rank (incumbent()), so a torn read pairs a T with the
+/// rank of the same or a newer, better incumbent: it can cost pruning, never
+/// prune the winner.
 struct SharedSearch {
   const AssignmentProblem* problem = nullptr;
   const PartitionStats* stats = nullptr;
   const data::ChunkView* m = nullptr;
   std::size_t n = 0;
   std::vector<std::uint32_t> order;  // partitions, largest first
+  LoadProfile initial;               // the problem's initial loads
   std::size_t max_nodes = 0;
   Clock::time_point deadline;
 
@@ -207,6 +205,7 @@ struct SharedSearch {
   std::vector<double> suffix_chunks;    // [depth * n + j]
 
   std::atomic<double> best_T{0.0};
+  std::atomic<std::size_t> best_rank{0};
   std::atomic<bool> aborted{false};
   std::atomic<std::size_t> nodes{0};
   std::mutex best_mutex;
@@ -219,22 +218,25 @@ struct SubtreeTask {
   double t = 0.0;  // bottleneck of the committed prefix loads
 };
 
-/// Per-worker scratch arena: load profiles, the current assignment, one
-/// reusable children vector per depth (the seed allocated one per *node*),
-/// and the bound scratch. Reused across subtree tasks via WorkerPool.
+/// Per-worker scratch arena: the load profile with one undo record per
+/// depth, the current assignment, one reusable children vector per depth
+/// (the seed allocated one per *node*), and the bound scratch. Reused across
+/// subtree tasks via WorkerPool; `rank` is the running task's.
 struct Worker {
   SharedSearch* sh;
-  std::vector<double> egress, ingress;
+  LoadProfile loads;
+  std::vector<LoadProfile> undo;             // indexed by depth
   Assignment current;
   std::vector<std::vector<Child>> children;  // indexed by depth
   BoundScratch bounds;
+  std::size_t rank = 0;
   std::size_t unflushed = 0;       // nodes not yet added to sh->nodes
   std::size_t nodes_snapshot = 0;  // global count at the last flush
 
   explicit Worker(SharedSearch& s)
       : sh(&s),
-        egress(s.n),
-        ingress(s.n),
+        loads(s.initial),
+        undo(s.order.size(), s.initial),
         current(s.order.size(), 0),
         children(s.order.size()) {
     for (auto& c : children) c.reserve(s.n);
@@ -301,44 +303,64 @@ bool tick(Worker& w) {
   return !sh.aborted.load(std::memory_order_relaxed);
 }
 
-void commit(SharedSearch& sh, const Assignment& dest, double t) {
-  if (t >= sh.best_T.load(std::memory_order_relaxed)) return;
+struct Incumbent {
+  double T;
+  std::size_t rank;
+};
+
+Incumbent incumbent(const SharedSearch& sh) {
+  const double t = sh.best_T.load(std::memory_order_acquire);
+  return {t, sh.best_rank.load(std::memory_order_relaxed)};
+}
+
+/// The bound at which a search of rank `rank` prunes: T against an incumbent
+/// of equal or lower rank (an equal-T find would lose the tie), the next
+/// double above T against any other (an equal-T find would win it).
+double prune_level(const SharedSearch& sh, std::size_t rank) {
+  const Incumbent inc = incumbent(sh);
+  return inc.rank <= rank
+             ? inc.T
+             : std::nextafter(inc.T, std::numeric_limits<double>::infinity());
+}
+
+void commit(SharedSearch& sh, const Assignment& dest, double t,
+            std::size_t rank) {
+  const auto beats = [t, rank](Incumbent inc) {
+    return t < inc.T || (t == inc.T && rank < inc.rank);
+  };
+  if (!beats(incumbent(sh))) return;
   const std::scoped_lock lock(sh.best_mutex);
-  if (t < sh.best_T.load(std::memory_order_relaxed)) {
+  if (beats(incumbent(sh))) {
     sh.best_dest = dest;
+    sh.best_rank.store(rank, std::memory_order_relaxed);
     sh.best_T.store(t, std::memory_order_release);
   }
 }
 
-void apply_move(Worker& w, std::uint32_t k, std::uint32_t d) {
+/// Branch order[depth] = k to d, saving what the placement overwrites.
+void apply_move(Worker& w, std::size_t depth, std::uint32_t k,
+                std::uint32_t d) {
   const SharedSearch& sh = *w.sh;
-  const std::span<const double> row = sh.m->partition_row(k);
-  for (std::size_t i = 0; i < sh.n; ++i) {
-    if (i != d) w.egress[i] += row[i];
-  }
-  w.ingress[d] += sh.stats->total[k] - row[d];
+  w.loads.save(d, w.undo[depth]);
+  w.loads.place(sh.m->partition_row(k), sh.stats->total[k], d);
   w.current[k] = d;
 }
 
-void undo_move(Worker& w, std::uint32_t k, std::uint32_t d) {
-  const SharedSearch& sh = *w.sh;
-  const std::span<const double> row = sh.m->partition_row(k);
-  for (std::size_t i = 0; i < sh.n; ++i) {
-    if (i != d) w.egress[i] -= row[i];
-  }
-  w.ingress[d] -= sh.stats->total[k] - row[d];
+/// Exactly the loads before apply_move(w, depth, k, d).
+void undo_move(Worker& w, std::size_t depth, std::uint32_t d) {
+  w.loads.restore(d, w.undo[depth]);
 }
 
 /// Reset the worker's loads to the problem's initial profile and re-apply a
 /// task prefix (choices along sh.order[0..prefix.size())).
 void load_prefix(Worker& w, std::span<const std::uint32_t> prefix) {
   const SharedSearch& sh = *w.sh;
-  for (std::size_t i = 0; i < sh.n; ++i) {
-    w.egress[i] = sh.problem->initial_egress_at(i);
-    w.ingress[i] = sh.problem->initial_ingress_at(i);
-  }
+  w.loads.egress = sh.initial.egress;
+  w.loads.ingress = sh.initial.ingress;
   for (std::size_t j = 0; j < prefix.size(); ++j) {
-    apply_move(w, sh.order[j], prefix[j]);
+    const std::uint32_t k = sh.order[j];
+    w.loads.place(sh.m->partition_row(k), sh.stats->total[k], prefix[j]);
+    w.current[k] = prefix[j];
   }
 }
 
@@ -349,13 +371,13 @@ std::vector<Child>& score_children(Worker& w, std::size_t depth) {
   const std::uint32_t k = sh.order[depth];
   const double sk = sh.stats->total[k];
   const std::span<const double> row = sh.m->partition_row(k);
-  const Top2 eg = top2_sum(w.egress, row);
-  const Top2 in = top2(w.ingress);
+  const Top2 eg = top2_sum(w.loads.egress, row);
+  const Top2 in = top2(w.loads.ingress);
   std::vector<Child>& kids = w.children[depth];
   kids.clear();
   for (std::uint32_t d = 0; d < sh.n; ++d) {
-    kids.push_back({placement_bottleneck(eg, in, w.egress[d], w.ingress[d],
-                                         sk, row[d], d),
+    kids.push_back({placement_bottleneck(eg, in, w.loads.egress[d],
+                                         w.loads.ingress[d], sk, row[d], d),
                     d});
   }
   sort_children(kids);
@@ -367,8 +389,8 @@ std::vector<Child>& score_children(Worker& w, std::size_t depth) {
 PrunePrefix prune_prefix(const SharedSearch& sh, const Worker& w,
                          std::size_t depth) {
   PrunePrefix v;
-  v.egress = w.egress;
-  v.ingress = w.ingress;
+  v.egress = w.loads.egress;
+  v.ingress = w.loads.ingress;
   v.order = sh.order;
   v.depth = depth;
   v.pos = sh.pos;
@@ -382,20 +404,20 @@ void dfs(Worker& w, std::size_t depth, double current_T) {
   SharedSearch& sh = *w.sh;
   if (!tick(w)) return;
   if (depth == sh.order.size()) {
-    commit(sh, w.current, current_T);
+    commit(sh, w.current, current_T, w.rank);
     return;
   }
 
   const std::span<const std::uint32_t> unassigned(sh.order.data() + depth,
                                                   sh.order.size() - depth);
-  const double best_T = sh.best_T.load(std::memory_order_relaxed);
-  if (partial_lower_bound(*sh.problem, *sh.stats, w.egress, w.ingress,
-                          unassigned, current_T, w.bounds,
-                          sh.suffix_rmin[depth]) >= best_T) {
+  const double level = prune_level(sh, w.rank);
+  if (partial_lower_bound(*sh.problem, *sh.stats, w.loads.egress,
+                          w.loads.ingress, unassigned, current_T, w.bounds,
+                          sh.suffix_rmin[depth]) >= level) {
     return;  // prune
   }
   if (infeasible_below(*sh.problem, *sh.stats, sh.statics,
-                       prune_prefix(sh, w, depth), best_T)) {
+                       prune_prefix(sh, w, depth), level)) {
     return;  // no completion can beat the incumbent
   }
 
@@ -403,15 +425,15 @@ void dfs(Worker& w, std::size_t depth, double current_T) {
   const std::uint32_t k = sh.order[depth];
   for (const Child& c : kids) {
     // Re-read the incumbent per child: a sibling subtree may have lowered it.
-    if (c.t >= sh.best_T.load(std::memory_order_relaxed)) break;
-    apply_move(w, k, c.d);
+    if (c.t >= prune_level(sh, w.rank)) break;
+    apply_move(w, depth, k, c.d);
     dfs(w, depth + 1, c.t);
-    undo_move(w, k, c.d);
+    undo_move(w, depth, c.d);
     if (sh.aborted.load(std::memory_order_relaxed)) return;
   }
 }
 
-void run_task(Worker& w, const SubtreeTask& task) {
+void run_task(Worker& w, const SubtreeTask& task, std::size_t rank) {
   SharedSearch& sh = *w.sh;
   if (sh.aborted.load(std::memory_order_relaxed)) return;
   // Deadline check on task entry: with many queued tasks per thread this is
@@ -421,7 +443,8 @@ void run_task(Worker& w, const SubtreeTask& task) {
     sh.aborted.store(true, std::memory_order_relaxed);
     return;
   }
-  if (task.t >= sh.best_T.load(std::memory_order_relaxed)) return;
+  w.rank = rank;
+  if (task.t >= prune_level(sh, rank)) return;
   load_prefix(w, task.prefix);
   dfs(w, task.prefix.size(), task.t);
 }
@@ -430,17 +453,14 @@ void run_task(Worker& w, const SubtreeTask& task) {
 /// least `target` independent subtree tasks (more if the last level
 /// overshoots; fewer if pruning closes the frontier). If the whole tree is
 /// shallower than the fan-out, the frontier's complete assignments are
-/// committed directly and no tasks remain.
+/// committed directly, entry i with rank i + 1, and no tasks remain. Until
+/// then the incumbent is the warm start, whose rank 0 wins every tie, so
+/// the expansion prunes at its T.
 std::vector<SubtreeTask> enumerate_tasks(SharedSearch& sh, Worker& w,
                                          std::size_t target) {
   std::vector<SubtreeTask> frontier;
-  {
-    double t0 = 0.0;
-    load_prefix(w, {});
-    for (const double v : w.egress) t0 = std::max(t0, v);
-    for (const double v : w.ingress) t0 = std::max(t0, v);
-    frontier.push_back({{}, t0});
-  }
+  load_prefix(w, {});
+  frontier.push_back({{}, w.loads.makespan()});
 
   std::size_t depth = 0;
   while (depth < sh.order.size() && frontier.size() < target &&
@@ -453,8 +473,8 @@ std::vector<SubtreeTask> enumerate_tasks(SharedSearch& sh, Worker& w,
       const std::span<const std::uint32_t> unassigned(
           sh.order.data() + depth, sh.order.size() - depth);
       const double best_T = sh.best_T.load(std::memory_order_relaxed);
-      if (partial_lower_bound(*sh.problem, *sh.stats, w.egress, w.ingress,
-                              unassigned, task.t, w.bounds,
+      if (partial_lower_bound(*sh.problem, *sh.stats, w.loads.egress,
+                              w.loads.ingress, unassigned, task.t, w.bounds,
                               sh.suffix_rmin[depth]) >= best_T ||
           infeasible_below(*sh.problem, *sh.stats, sh.statics,
                            prune_prefix(sh, w, depth), best_T)) {
@@ -474,14 +494,15 @@ std::vector<SubtreeTask> enumerate_tasks(SharedSearch& sh, Worker& w,
 
   if (depth == sh.order.size()) {
     // Instance shallower than the fan-out: the frontier IS the candidate set.
-    for (const SubtreeTask& task : frontier) {
-      load_prefix(w, task.prefix);
-      commit(sh, w.current, task.t);
+    for (std::size_t i = 0; i < frontier.size(); ++i) {
+      load_prefix(w, frontier[i].prefix);
+      commit(sh, w.current, frontier[i].t, i + 1);
     }
     return {};
   }
 
   // Best-first across workers: good subtrees early tighten everyone's bound.
+  // Task i (rank i + 1) is the i-th of this order.
   std::stable_sort(frontier.begin(), frontier.end(),
                    [](const SubtreeTask& a, const SubtreeTask& b) {
                      return a.t < b.t;
@@ -501,6 +522,7 @@ BnbResult solve_parallel(const AssignmentProblem& problem,
   sh.m = &m;
   sh.n = m.nodes();
   sh.order = descending_order(stats.total);
+  sh.initial = initial_loads(problem);
   sh.max_nodes = options.max_nodes;
   sh.deadline = deadline_from(options.time_limit_s);
 
@@ -542,7 +564,7 @@ BnbResult solve_parallel(const AssignmentProblem& problem,
         tasks.size(),
         [&](std::size_t i) {
           Worker& w = pool.acquire();
-          run_task(w, tasks[i]);
+          run_task(w, tasks[i], i + 1);
           pool.release(w);
         },
         threads);

@@ -16,10 +16,22 @@
 //    greedy + local search across diversified seeds) warm-starts the
 //    incumbent, the top levels of the DFS tree are enumerated into
 //    independent subtree tasks fanned out over util::parallel_for, workers
-//    share the incumbent through an atomic with lock-free reads on the
+//    share the incumbent through atomics with lock-free reads on the
 //    pruning hot path, children are scored in O(n) by the shared top-2
 //    kernel, and pruning uses the water-filling packing bound
 //    (opt/bounds.hpp). Both modes prove the same optimal T.
+//
+// The parallel result repeats from run to run. Incumbents are ordered by
+// (T, rank): the warm start has rank 0 and subtree task i rank i + 1, and
+// an equal-T assignment replaces the incumbent only from a lower rank. A
+// task prunes at T against an incumbent of its own or a lower rank and only
+// above T against any other, so the winner — the lowest-ranked optimum, the
+// first in its task's depth-first order — is never pruned, however the
+// workers interleave. Branches are undone by restoring saved loads
+// (LoadProfile::save/restore), never by subtraction, so a node's loads do
+// not depend on which siblings ran before it. The task split follows the
+// thread count, so the returned optimum may differ between thread counts;
+// runs stopped by max_nodes or time_limit_s still depend on timing.
 #pragma once
 
 #include <cstddef>

@@ -31,8 +31,8 @@ void place(const AssignmentProblem& problem, const PartitionStats& stats,
            std::span<const std::uint32_t> order, LoadProfile& loads,
            Assignment& dest, const GreedyOptions& options, Score score) {
   const std::size_t n = problem.nodes();
-  std::vector<double>& egress = loads.egress;
-  std::vector<double>& ingress = loads.ingress;
+  const std::vector<double>& egress = loads.egress;
+  const std::vector<double>& ingress = loads.ingress;
   const auto allowed = [&options](std::uint32_t d) {
     return options.allowed.empty() || options.allowed[d] != 0;
   };
@@ -98,10 +98,7 @@ void place(const AssignmentProblem& problem, const PartitionStats& stats,
 
     // Line 9: commit the destination and update the loads.
     dest[k] = best_d;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i != best_d) egress[i] += row[i];
-    }
-    ingress[best_d] += sk - row[best_d];
+    loads.place(row, sk, best_d);
   }
 }
 

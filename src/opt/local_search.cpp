@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "opt/bounds.hpp"
@@ -11,6 +13,24 @@
 #include "util/rng.hpp"
 
 namespace ccf::opt {
+
+namespace {
+
+/// The ports of one side whose load equals T: how many, and the first.
+struct AtT {
+  std::size_t count = 0;
+  std::size_t port = 0;
+};
+
+AtT ports_at(std::span<const double> loads, double T) noexcept {
+  AtT at;
+  for (std::size_t i = 0; i < loads.size(); ++i) {
+    if (loads[i] == T && at.count++ == 0) at.port = i;
+  }
+  return at;
+}
+
+}  // namespace
 
 LocalSearchResult refine(const AssignmentProblem& problem, Assignment& dest,
                          LocalSearchOptions options) {
@@ -21,6 +41,13 @@ LocalSearchResult refine(const AssignmentProblem& problem, Assignment& dest,
 LocalSearchResult refine(const AssignmentProblem& problem,
                          const PartitionStats& stats, Assignment& dest,
                          LocalSearchOptions options) {
+  LoadProfile loads = evaluate(problem, dest);
+  return refine(problem, stats, dest, std::move(loads), options);
+}
+
+LocalSearchResult refine(const AssignmentProblem& problem,
+                         const PartitionStats& stats, Assignment& dest,
+                         LoadProfile loads, LocalSearchOptions options) {
   problem.validate();
   const data::ChunkView& m = problem.matrix;
   const std::size_t n = m.nodes();
@@ -28,72 +55,82 @@ LocalSearchResult refine(const AssignmentProblem& problem,
   if (dest.size() != p) {
     throw std::invalid_argument("refine: assignment size != partitions");
   }
+  if (loads.egress.size() != n || loads.ingress.size() != n) {
+    throw std::invalid_argument("refine: load profile size != nodes");
+  }
+  for (const std::uint32_t d : dest) {
+    if (d >= n) throw std::invalid_argument("refine: destination out of range");
+  }
 
-  LoadProfile loads = evaluate(problem, dest);
   LocalSearchResult result;
   result.initial_T = result.final_T = loads.makespan();
   const double lb = root_lower_bound(problem, stats);
-  const std::vector<double>& part_total = stats.total;
+  AtT eg_at = ports_at(loads.egress, result.final_T);
+  AtT in_at = ports_at(loads.ingress, result.final_T);
+  LoadProfile undo;
 
   for (std::size_t round = 0; round < options.max_rounds; ++round) {
     ++result.rounds;
     bool moved = false;
     for (std::size_t k = 0; k < p; ++k) {
-      if (result.final_T <= lb * (1.0 + options.bound_tolerance)) {
-        return result;
-      }
-      const std::uint32_t old_d = dest[k];
+      const double T = result.final_T;
+      if (T <= lb * (1.0 + options.bound_tolerance)) return result;
+      // A move lowers one egress port and one ingress port: with two ports
+      // at T on a side, none can lower T.
+      if (eg_at.count > 1 || in_at.count > 1) break;
+      // Only leaving the ingress port at T lowers it, and it must end
+      // below T.
+      const std::uint32_t a = dest[k];
+      if (in_at.count == 1 && a != in_at.port) continue;
       const std::span<const double> row = m.partition_row(k);
-      // Temporarily remove partition k from the loads.
-      for (std::size_t i = 0; i < n; ++i) {
-        if (i != old_d) loads.egress[i] -= row[i];
+      const double sk = stats.total[k];
+      if (in_at.count == 1 && !(loads.ingress[a] - (sk - row[a]) < T)) {
+        continue;
       }
-      loads.ingress[old_d] -= part_total[k] - row[old_d];
+      if (eg_at.count == 1) {
+        // Only landing on the egress port e at T lowers it. egress[e] falls,
+        // egress[a] and ingress[e] rise, and all three must end below T.
+        const std::size_t e = eg_at.port;
+        if (e == a || !(loads.egress[e] - row[e] < T) ||
+            !(loads.egress[a] + row[a] < T) ||
+            !(loads.ingress[e] + (sk - row[e]) < T)) {
+          continue;
+        }
+      }
 
-      // Candidate scoring with the shared O(n) top-2 kernel (bounds.hpp).
+      // The full scan, on the loads with k taken out.
+      ++result.scanned;
+      loads.save(a, undo);
+      loads.remove(row, sk, a);
       const Top2 eg = top2_sum(loads.egress, row);
       const Top2 in = top2(loads.ingress);
-
       double best_t = 0.0;
-      std::uint32_t best_d = old_d;
+      std::uint32_t best_d = a;
       bool first = true;
       for (std::uint32_t d = 0; d < n; ++d) {
-        const double t =
-            placement_bottleneck(eg, in, loads.egress[d], loads.ingress[d],
-                                 part_total[k], row[d], d);
-        if (first || t < best_t || (t == best_t && d == old_d)) {
+        const double t = placement_bottleneck(
+            eg, in, loads.egress[d], loads.ingress[d], sk, row[d], d);
+        if (first || t < best_t || (t == best_t && d == a)) {
           best_t = t;
           best_d = d;
           first = false;
         }
       }
 
-      // Re-apply at the chosen destination.
-      for (std::size_t i = 0; i < n; ++i) {
-        if (i != best_d) loads.egress[i] += row[i];
-      }
-      loads.ingress[best_d] += part_total[k] - row[best_d];
-      if (best_d != old_d && best_t < result.final_T) {
+      if (best_d != a && best_t < T) {
+        loads.place(row, sk, best_d);
         dest[k] = best_d;
         ++result.moves;
         moved = true;
         result.final_T = loads.makespan();
-      } else if (best_d != old_d) {
-        // Move does not improve the global bottleneck: revert.
-        for (std::size_t i = 0; i < n; ++i) {
-          if (i != best_d) loads.egress[i] -= row[i];
-        }
-        loads.ingress[best_d] -= part_total[k] - row[best_d];
-        for (std::size_t i = 0; i < n; ++i) {
-          if (i != old_d) loads.egress[i] += row[i];
-        }
-        loads.ingress[old_d] += part_total[k] - row[old_d];
-        dest[k] = old_d;
+        eg_at = ports_at(loads.egress, result.final_T);
+        in_at = ports_at(loads.ingress, result.final_T);
+      } else {
+        loads.restore(a, undo);
       }
     }
     if (!moved) break;
   }
-  result.final_T = loads.makespan();
   return result;
 }
 
@@ -119,16 +156,22 @@ GraspResult grasp(const AssignmentProblem& problem, const PartitionStats& stats,
         // Start 0 is Algorithm 1 exactly; the others perturb each sort key
         // by (1 + sort_noise·u) and pick among the rcl best destinations,
         // all drawn from the start's own stream.
-        Assignment dest;
+        // The greedy's final loads go straight into refine.
+        LoadProfile loads = initial_loads(problem);
+        Assignment dest(problem.partitions(), 0);
         if (s == 0) {
-          dest = greedy(problem, stats);
+          greedy_place(problem, stats, descending_order(stats.max), loads,
+                       dest);
         } else {
           util::Pcg32 rng(util::derive_seed(options.seed, s), s);
           std::vector<double> key = stats.max;
           for (double& v : key) v *= 1.0 + options.sort_noise * rng.uniform01();
-          dest = greedy(problem, stats, {.rng = &rng, .rcl = rcl}, key);
+          greedy_place(problem, stats, descending_order(key), loads, dest,
+                       {.rng = &rng, .rcl = rcl});
         }
-        runs[s].T = refine(problem, stats, dest, options.refine).final_T;
+        runs[s].T =
+            refine(problem, stats, dest, std::move(loads), options.refine)
+                .final_T;
         runs[s].dest = std::move(dest);
       },
       options.threads);

@@ -5,6 +5,24 @@
 // lowers the bottleneck makespan T, until a fixed point or a round limit.
 // Used by the "ccf-ls" scheduler and the ablation bench.
 //
+// Moving partition k from node a to node d lowers only egress[d] (by h_dk)
+// and ingress[a] (by S_k − h_ak); egress[a] and ingress[d] rise. So a move
+// can lower T only if every port at T is one of those two. refine() keeps,
+// per side, how many ports sit at T and which one (recounted only after an
+// accepted move), and gives the full O(n) top-2 scan only to partitions
+// that pass that test:
+//   * two ports at T on one side: no move helps, the round ends;
+//   * one ingress port b at T: only partitions placed at b qualify;
+//   * one egress port e at T: the only destination is e, and an O(1) test
+//     (egress[e] − h_ek, egress[a] + h_ak and ingress[e] + S_k − h_ek all
+//     below T) decides whether k gets the scan.
+// The scan itself is unchanged: the argmin destination, ties toward
+// the current node, accepted only when it strictly lowers T. A scanned
+// partition that stays put gets its loads back through LoadProfile's exact
+// undo, so the loads never drift. Callers that just ran the greedy pass its
+// final loads in (the ccf-ls scheduler and every GRASP start do), which
+// saves the O(p·n) evaluate().
+//
 // grasp() layers a portfolio on top: many randomized-greedy constructions
 // (noise on the sort key, restricted-candidate-list destination picks; both
 // are options of the Algorithm-1 kernel, opt/greedy.hpp), each refined by
@@ -33,11 +51,19 @@ struct LocalSearchOptions {
 struct LocalSearchResult {
   std::size_t moves = 0;       ///< relocations applied
   std::size_t rounds = 0;      ///< sweeps executed
+  std::size_t scanned = 0;     ///< partitions given the full O(n) scan
   double initial_T = 0.0;
   double final_T = 0.0;
 };
 
-/// Refine `dest` in place. Never increases makespan.
+/// Refine `dest` in place, starting from `loads`, the port loads `dest`
+/// induces: the greedy's final loads, or evaluate()'s. Never increases
+/// makespan.
+LocalSearchResult refine(const AssignmentProblem& problem,
+                         const PartitionStats& stats, Assignment& dest,
+                         LoadProfile loads, LocalSearchOptions options = {});
+
+/// Refine `dest` in place from evaluate()'s loads. Never increases makespan.
 LocalSearchResult refine(const AssignmentProblem& problem,
                          const PartitionStats& stats, Assignment& dest,
                          LocalSearchOptions options = {});

@@ -51,6 +51,33 @@ double LoadProfile::makespan() const noexcept {
   return t;
 }
 
+void LoadProfile::place(std::span<const double> row, double total,
+                        std::size_t d) noexcept {
+  // Two straight loops around d: the same adds as one loop that skips d,
+  // without the branch.
+  for (std::size_t i = 0; i < d; ++i) egress[i] += row[i];
+  for (std::size_t i = d + 1; i < egress.size(); ++i) egress[i] += row[i];
+  ingress[d] += total - row[d];
+}
+
+void LoadProfile::remove(std::span<const double> row, double total,
+                         std::size_t d) noexcept {
+  for (std::size_t i = 0; i < d; ++i) egress[i] -= row[i];
+  for (std::size_t i = d + 1; i < egress.size(); ++i) egress[i] -= row[i];
+  ingress[d] -= total - row[d];
+}
+
+void LoadProfile::save(std::size_t d, LoadProfile& undo) const {
+  undo.egress.assign(egress.begin(), egress.end());
+  undo.ingress.resize(ingress.size());
+  undo.ingress[d] = ingress[d];
+}
+
+void LoadProfile::restore(std::size_t d, const LoadProfile& undo) noexcept {
+  std::copy(undo.egress.begin(), undo.egress.end(), egress.begin());
+  ingress[d] = undo.ingress[d];
+}
+
 LoadProfile initial_loads(const AssignmentProblem& problem) {
   const std::size_t n = problem.nodes();
   LoadProfile loads;

@@ -70,13 +70,32 @@ struct PartitionStats {
   double rsecond(std::size_t k) const noexcept { return total[k] - second[k]; }
 };
 
-/// Port loads induced by a (partial) assignment.
+/// Port loads induced by a (partial) assignment, and the one way every
+/// search changes them. place() lands a partition; save() and restore() are
+/// the exact undo: save() copies the entries that a place() or remove() at
+/// node d overwrites (all of egress, and ingress[d]) and restore() writes
+/// them back bit for bit. Loads are never subtracted to undo a placement:
+/// (x + h) − h need not be x, and the drift would decide near-ties.
 struct LoadProfile {
   std::vector<double> egress;
   std::vector<double> ingress;
 
   /// The objective T: bottleneck port load in bytes.
   double makespan() const noexcept;
+
+  /// Land a partition (chunk row `row`, total `total` = Σ row) at node d:
+  /// egress[i] += row[i] for every i != d, then ingress[d] += total − row[d].
+  void place(std::span<const double> row, double total,
+             std::size_t d) noexcept;
+  /// Take a placed partition back out of node d by the mirror subtraction.
+  /// Not an undo (see above): it builds the loads a relocation is scored on.
+  void remove(std::span<const double> row, double total,
+              std::size_t d) noexcept;
+  /// Copy what a place() or remove() at d overwrites into `undo` (sized
+  /// like this profile; ingress[d] goes to undo.ingress[d]).
+  void save(std::size_t d, LoadProfile& undo) const;
+  /// Write back exactly what save(d, undo) copied.
+  void restore(std::size_t d, const LoadProfile& undo) noexcept;
 };
 
 /// The problem's initial loads, before any partition is placed.

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/pipeline.hpp"
 #include "core/registry.hpp"
@@ -118,6 +119,42 @@ TEST(EdgeCases, SimulatorMaxTimeGuardFires) {
   sim.add_coflow(std::move(first));
   sim.add_coflow(std::move(second));
   EXPECT_THROW(sim.run(), std::runtime_error);
+}
+
+// A lone flow completes at one event, the run's last. The clock passes
+// max_time on the way there, and that alone must stop the run, in both
+// engines.
+void expect_max_time_stops_lone_flow(const char* allocator) {
+  for (const net::SimEngine engine :
+       {net::SimEngine::kIncremental, net::SimEngine::kReference}) {
+    net::SimConfig cfg;
+    cfg.max_time = 0.5;  // the flow needs 10 s
+    cfg.engine = engine;
+    net::FlowMatrix m(2);
+    m.set(0, 1, 10.0);
+    net::Simulator sim(net::Fabric(2, 1.0), net::make_allocator(allocator),
+                       cfg);
+    sim.add_coflow(net::CoflowSpec("c", 0.0, std::move(m)));
+    try {
+      sim.run();
+      ADD_FAILURE() << allocator << ": the run ended past max_time";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("max_time"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(EdgeCases, MaxTimeStopsALoneFlowUnderMadd) {
+  expect_max_time_stops_lone_flow("madd");
+}
+
+TEST(EdgeCases, MaxTimeStopsALoneFlowUnderVarys) {
+  expect_max_time_stops_lone_flow("varys");
+}
+
+TEST(EdgeCases, MaxTimeStopsALoneFlowUnderFair) {
+  expect_max_time_stops_lone_flow("fair");
 }
 
 TEST(EdgeCases, TinyFlowsBelowEpsilonAreDropped) {

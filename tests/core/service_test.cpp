@@ -357,9 +357,8 @@ TEST(Service, FailedEpochsCompleteTheirTicketsAndTheShardRecovers) {
   ServiceOptions options = base_options(1, 1);
   options.max_batch = 1;  // every submission is its own epoch
   // The small join's epoch ends well inside max_time (0.07 s); the 1000x
-  // join's flows, fair-shared, finish at different times past it (the last
-  // at 69 s), so its drain throws from the simulator's guard. (Under MADD a
-  // lone coflow's flows all finish together: no event falls past max_time.)
+  // join's flows, fair-shared, run past it (the last finishes at 69 s), so
+  // its drain throws from the simulator's guard.
   options.engine.allocator = "fair";
   options.engine.sim.max_time = 10.0;
   const auto small = std::make_shared<const data::Workload>(tiny_workload(1));

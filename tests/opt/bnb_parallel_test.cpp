@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <tuple>
 
 #include "data/workload.hpp"
 #include "join/schedulers.hpp"
 #include "opt/local_search.hpp"
+#include "util/rng.hpp"
 
 namespace ccf::opt {
 namespace {
@@ -75,6 +77,69 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(param_info.param.nodes) + "_p" +
              std::to_string(param_info.param.partitions) + "_t" +
              std::to_string(param_info.param.threads);
+    });
+
+// ---------------------------------------------------------------------------
+// Determinism: ties between equal-T optima go to the lower-ranked incumbent
+// (the warm start, then the subtree tasks in order), so a proof returns the
+// same assignment on every run at a given thread count, however the workers
+// interleave.
+// ---------------------------------------------------------------------------
+
+/// A 0.1-grid instance with initial loads: many equal-T optima.
+struct TiedInstance {
+  data::ChunkMatrix m;
+  AssignmentProblem problem;
+
+  TiedInstance(std::size_t p, std::size_t n, std::uint64_t seed) : m(p, n) {
+    util::Pcg32 rng(util::derive_seed(seed, 93), 93);
+    for (std::size_t k = 0; k < p; ++k) {
+      for (std::size_t i = 0; i < n; ++i) {
+        m.set(k, i, 0.1 * std::floor(rng.uniform(0.0, 40.0)));
+      }
+    }
+    problem.matrix = &m;
+    problem.initial_egress.resize(n);
+    problem.initial_ingress.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      problem.initial_egress[i] = 0.1 * std::floor(rng.uniform(0.0, 60.0));
+      problem.initial_ingress[i] = 0.1 * std::floor(rng.uniform(0.0, 60.0));
+    }
+  }
+  TiedInstance(const TiedInstance&) = delete;
+};
+
+class ParallelRepeat : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ParallelRepeat, SameAssignmentOnEveryRun) {
+  BnbOptions opts;
+  opts.mode = BnbMode::kParallel;
+  opts.threads = GetParam();
+  const auto expect_repeats = [&opts](const AssignmentProblem& problem,
+                                      const std::string& what) {
+    const BnbResult first = solve_exact(problem, opts);
+    ASSERT_TRUE(first.optimal) << what;
+    for (int run = 1; run < 50; ++run) {
+      const BnbResult again = solve_exact(problem, opts);
+      ASSERT_TRUE(again.optimal) << what;
+      ASSERT_EQ(again.dest, first.dest) << what << ", run " << run;
+      ASSERT_EQ(again.T, first.T) << what << ", run " << run;
+    }
+  };
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const TiedInstance tied(10 + seed % 3, 4 + seed % 2, seed);
+    expect_repeats(tied.problem, "tied seed " + std::to_string(seed));
+    const auto w = make_workload(4 + seed % 2, 10 + seed % 3, seed);
+    AssignmentProblem zipf;
+    zipf.matrix = &w.matrix;
+    expect_repeats(zipf, "zipf seed " + std::to_string(seed));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Threads, ParallelRepeat, ::testing::Values(1, 2, 4, 8),
+    [](const ::testing::TestParamInfo<std::size_t>& param_info) {
+      return "t" + std::to_string(param_info.param);
     });
 
 // ---------------------------------------------------------------------------

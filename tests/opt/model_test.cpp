@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "testing/paper_example.hpp"
 
 namespace ccf::opt {
@@ -125,6 +127,46 @@ TEST(GreedyReference, RespectsInitialLoads) {
   // Whatever the placement, the makespan cannot drop below the initial load,
   // and placing anything *into* node 1 would only raise it.
   EXPECT_DOUBLE_EQ(makespan(p, greedy), 100.0);
+}
+
+TEST(LoadProfile, PlaceMatchesEvaluate) {
+  // Landing every partition through place() gives evaluate()'s loads (the
+  // paper example's chunk sums are exact in binary).
+  const auto m = paper_chunk_matrix();
+  const auto p = problem_for(m);
+  const Assignment sp1 = testing::paper_sp1();
+  LoadProfile loads = initial_loads(p);
+  for (std::size_t k = 0; k < m.partitions(); ++k) {
+    loads.place(m.partition_row(k), m.partition_total(k), sp1[k]);
+  }
+  const LoadProfile expected = evaluate(p, sp1);
+  EXPECT_EQ(loads.egress, expected.egress);
+  EXPECT_EQ(loads.ingress, expected.ingress);
+}
+
+TEST(LoadProfile, RestoreUndoesPlaceAndRemoveBitForBit) {
+  // Chunks whose sums round: (x + h) - h != x for some of them, so only a
+  // saved copy gets the loads back exactly.
+  LoadProfile loads;
+  loads.egress = {0.1, 0.7, 1e16, 3.3};
+  loads.ingress = {0.2, 1e-3, 5.5, 1e16};
+  const std::vector<double> row = {0.3, 0.1, 1.0, 0.7};
+  const double total = 0.3 + 0.1 + 1.0 + 0.7;
+  for (std::size_t d = 0; d < 4; ++d) {
+    const LoadProfile before = loads;
+    LoadProfile undo;
+    loads.save(d, undo);
+    loads.place(row, total, d);
+    EXPECT_EQ(loads.egress[d], before.egress[d]);  // d keeps its own chunk
+    loads.restore(d, undo);
+    EXPECT_EQ(loads.egress, before.egress);
+    EXPECT_EQ(loads.ingress, before.ingress);
+    loads.save(d, undo);
+    loads.remove(row, total, d);
+    loads.restore(d, undo);
+    EXPECT_EQ(loads.egress, before.egress);
+    EXPECT_EQ(loads.ingress, before.ingress);
+  }
 }
 
 }  // namespace
