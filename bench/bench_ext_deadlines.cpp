@@ -52,7 +52,8 @@ int main(int argc, char** argv) {
     auto flows = ccf::join::assignment_flows(prepared.residual, dest,
                                              prepared.initial_flows);
     const double lone_gamma = ccf::net::gamma_bound(flows, fabric);
-    batch.push_back({"c" + std::to_string(c), arrival,
+    // Appended: GCC 12 reports a false -Wrestrict on "c" + std::to_string(c).
+    batch.push_back({std::string("c").append(std::to_string(c)), arrival,
                      tightness * lone_gamma, std::move(flows)});
     arrival += rng.uniform(0.0, 2.0 * args.get_double("stagger"));
   }

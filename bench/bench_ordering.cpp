@@ -95,7 +95,9 @@ std::vector<ccf::net::CoflowSpec> make_batch(const std::string& family,
         m.add(src, pick_other(src), kHostRate * rng.uniform(2.0, 40.0));
       }
     }
-    ccf::net::CoflowSpec spec("c" + std::to_string(c), 0.0, std::move(m));
+    // Appended: GCC 12 reports a false -Wrestrict on "c" + std::to_string(c).
+    ccf::net::CoflowSpec spec(std::string("c").append(std::to_string(c)),
+                              0.0, std::move(m));
     spec.weight = rng.uniform(0.25, 4.0);
     batch.push_back(std::move(spec));
   }

@@ -99,7 +99,8 @@ LoadResult run_load(std::size_t shards, std::size_t total_queries,
   options.queue_capacity = 1024;
   for (std::size_t t = 0; t < shards; ++t) {
     ccf::core::TenantSpec tenant;
-    tenant.name = "t" + std::to_string(t);
+    // Appended: GCC 12 reports a false -Wrestrict on "t" + std::to_string(t).
+    tenant.name = std::string("t").append(std::to_string(t));
     options.tenants.push_back(std::move(tenant));  // round-robin onto shard t
   }
 

@@ -26,13 +26,13 @@ namespace ccf::opt {
 struct GreedyOptions {
   /// allowed[d] != 0 lets partitions land on node d; empty allows every
   /// node. At least one node must be allowed.
-  std::span<const char> allowed;
+  std::span<const char> allowed = {};
   /// Per-port capacities, both or neither. When set, loads still accumulate
   /// in bytes but every candidate is scored in seconds (load / capacity), so
   /// slow ports attract proportionally less traffic. Empty: homogeneous
   /// ports, scored in bytes.
-  std::span<const double> egress_capacity;
-  std::span<const double> ingress_capacity;
+  std::span<const double> egress_capacity = {};
+  std::span<const double> ingress_capacity = {};
   /// When set, each placement picks uniformly among the `rcl` best
   /// destinations (ties: lower node first) instead of the first minimum.
   util::Pcg32* rng = nullptr;

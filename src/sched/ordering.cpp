@@ -1,6 +1,7 @@
 #include "sched/ordering.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -66,6 +67,49 @@ double row_gamma(const OrderingProblem& p, std::span<const double> t,
   return g;
 }
 
+/// Max tournament tree over per-port loads that stay in the caller's array.
+/// Leaves are link ids; the array is padded to a power of two with -1.0, the
+/// scan's starting value, which no load goes below. Every inner node holds
+/// the id that wins its range: the right child only on a strictly larger
+/// load, else the left. The left child always holds the smaller ids, so the
+/// root is the first strict maximum a scan from link 0 finds: the largest
+/// load, at the smallest id. A NaN load loses to every other, because the
+/// scan's `>` never picks one. Built in O(L); after a load falls, lowered()
+/// replays its leaf's path in O(log L) at most.
+class PortTournament {
+ public:
+  explicit PortTournament(std::span<const double> load)
+      : load_(load), leaves_(load.size()), node_(2 * load.size()) {
+    for (std::size_t l = 0; l < leaves_; ++l) {
+      node_[leaves_ + l] = static_cast<std::uint32_t>(l);
+    }
+    for (std::size_t i = leaves_ - 1; i > 0; --i) replay(i);
+  }
+
+  std::uint32_t top() const noexcept { return node_[1]; }
+
+  /// Call after load[link] fell, stayed or became NaN; never after it rose.
+  /// A node won by another link still is, and so is every node above it,
+  /// so the replay stops at the first one.
+  void lowered(std::uint32_t link) noexcept {
+    for (std::size_t i = (leaves_ + link) / 2; i > 0 && node_[i] == link;
+         i /= 2) {
+      replay(i);
+    }
+  }
+
+ private:
+  void replay(std::size_t i) noexcept {
+    const std::uint32_t left = node_[2 * i], right = node_[2 * i + 1];
+    const double a = load_[left];
+    node_[i] = load_[right] > a || std::isnan(a) ? right : left;
+  }
+
+  std::span<const double> load_;  ///< std::bit_ceil(L) entries
+  std::size_t leaves_;
+  std::vector<std::uint32_t> node_;  ///< [1, leaves_) inner, then the leaves
+};
+
 }  // namespace
 
 void OrderingProblem::clear() {
@@ -77,14 +121,15 @@ void OrderingProblem::clear() {
 }
 
 void OrderingProblem::reset(std::span<const double> capacities) {
-  clear();
-  capacity.assign(capacities.begin(), capacities.end());
-  for (const double cap : capacity) {
+  // Validate before mutating: a throw leaves the problem as it was.
+  for (const double cap : capacities) {
     if (!(cap > 0.0) || !std::isfinite(cap)) {
       throw std::invalid_argument(
           "OrderingProblem: link capacities must be finite and > 0");
     }
   }
+  clear();
+  capacity.assign(capacities.begin(), capacities.end());
 }
 
 void OrderingProblem::add_coflow(double w,
@@ -96,7 +141,8 @@ void OrderingProblem::add_coflow(double w,
   if (links.size() != loads.size()) {
     throw std::invalid_argument("OrderingProblem: links/loads size mismatch");
   }
-  if (row_offset.empty()) row_offset.assign(1, 0);
+  // Validate every entry before appending any: a throw leaves the problem
+  // as it was.
   for (std::size_t i = 0; i < links.size(); ++i) {
     if (links[i] >= capacity.size()) {
       throw std::invalid_argument("OrderingProblem: link id out of range");
@@ -104,6 +150,9 @@ void OrderingProblem::add_coflow(double w,
     if (loads[i] < 0.0 || !std::isfinite(loads[i])) {
       throw std::invalid_argument("OrderingProblem: invalid demand load");
     }
+  }
+  if (row_offset.empty()) row_offset.assign(1, 0);
+  for (std::size_t i = 0; i < links.size(); ++i) {
     if (loads[i] == 0.0) continue;
     demand_link.push_back(links[i]);
     demand_load.push_back(loads[i]);
@@ -159,9 +208,13 @@ void sincronia_order(const OrderingProblem& problem,
   const NormalizedColumns csc = transpose(problem, t);
 
   // Remaining load per port over the unscheduled set, maintained by
-  // subtracting each scheduled coflow's row.
-  std::vector<double> port(links, 0.0);
+  // subtracting each scheduled coflow's row, padded with -1.0 to the
+  // tournament's power of two. With no links, the lone padding leaf tops the
+  // tree and every coflow takes the demandless exit below.
+  std::vector<double> port(std::bit_ceil(links), -1.0);
+  std::fill_n(port.begin(), links, 0.0);
   for (std::size_t e = 0; e < t.size(); ++e) port[problem.demand_link[e]] += t[e];
+  PortTournament tree(port);
 
   std::vector<double> w(problem.weight);  // scaled weights w̃
   std::vector<std::uint8_t> done(n, 0);
@@ -169,15 +222,8 @@ void sincronia_order(const OrderingProblem& problem,
   std::size_t k = n;  // next position to fill, from the back
   while (k > 0) {
     // Bottleneck port: most remaining load; smallest link id on ties.
-    std::uint32_t b = 0;
-    double load = -1.0;
-    for (std::uint32_t l = 0; l < links; ++l) {
-      if (port[l] > load) {
-        load = port[l];
-        b = l;
-      }
-    }
-    if (!(load > 0.0)) {
+    const std::uint32_t b = tree.top();
+    if (!(port[b] > 0.0)) {
       // Only demandless coflows remain: they finish instantly wherever they
       // land; put them first, ascending, to keep the permutation canonical.
       std::size_t pos = 0;
@@ -208,6 +254,7 @@ void sincronia_order(const OrderingProblem& problem,
     if (a == std::numeric_limits<std::uint32_t>::max()) {
       // Float residue made a fully drained port the argmax; retire it.
       port[b] = 0.0;
+      tree.lowered(b);
       continue;
     }
     const double alpha = w[a] / a_t;  // this iteration's dual variable
@@ -221,12 +268,15 @@ void sincronia_order(const OrderingProblem& problem,
       w[c] -= alpha * csc.t[e];
       if (w[c] < 0.0) w[c] = 0.0;
     }
-    // Schedule a last among the unscheduled and take its load off the ports.
+    // Schedule a last among the unscheduled and take its load off the ports
+    // (t >= 0, so every port it touches falls or stays).
     for (std::uint32_t e = problem.row_offset[a]; e < problem.row_offset[a + 1];
          ++e) {
-      double& pl = port[problem.demand_link[e]];
+      const std::uint32_t l = problem.demand_link[e];
+      double& pl = port[l];
       pl -= t[e];
       if (pl < 0.0) pl = 0.0;
+      tree.lowered(l);
     }
     done[a] = 1;
     out[--k] = a;

@@ -76,13 +76,16 @@ struct OrderingProblem {
   std::size_t link_count() const noexcept { return capacity.size(); }
 
   /// Reset to an empty problem over `links` links with the given capacities.
+  /// Throws std::invalid_argument, leaving the problem unchanged, unless
+  /// every capacity is finite and > 0.
   void reset(std::span<const double> capacities);
   void clear();
 
   /// Append one coflow with the given weight and per-link loads. `links` and
   /// `loads` are parallel; zero loads are dropped, duplicate link entries
   /// must already be aggregated. Throws std::invalid_argument on a bad
-  /// weight, a load that is negative/non-finite, or an out-of-range link.
+  /// weight, a load that is negative/non-finite, or an out-of-range link,
+  /// and then appends nothing.
   void add_coflow(double w, std::span<const std::uint32_t> links,
                   std::span<const double> loads);
 
@@ -101,7 +104,9 @@ struct OrderingProblem {
 /// is non-null it receives the dual objective accumulated by the iteration —
 /// a certified lower bound on the optimal total weighted CCT for the
 /// all-arrive-at-zero instance. Deterministic: all ties break towards the
-/// smallest index. O(n · (n + nnz)).
+/// smallest index. O(L + n² + nnz · log L) for L links and nnz demand
+/// entries: each bottleneck port comes from a tournament tree over the
+/// per-link loads.
 void sincronia_order(const OrderingProblem& problem,
                      std::vector<std::uint32_t>& out,
                      double* dual_lb = nullptr);

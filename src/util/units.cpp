@@ -8,14 +8,14 @@ namespace ccf::util {
 
 namespace {
 
-std::string with_unit(double v, const char* unit) {
+std::string with_unit(const char* sign, double v, const char* unit) {
   char buf[64];
   if (v >= 100.0) {
-    std::snprintf(buf, sizeof buf, "%.0f %s", v, unit);
+    std::snprintf(buf, sizeof buf, "%s%.0f %s", sign, v, unit);
   } else if (v >= 10.0) {
-    std::snprintf(buf, sizeof buf, "%.1f %s", v, unit);
+    std::snprintf(buf, sizeof buf, "%s%.1f %s", sign, v, unit);
   } else {
-    std::snprintf(buf, sizeof buf, "%.2f %s", v, unit);
+    std::snprintf(buf, sizeof buf, "%s%.2f %s", sign, v, unit);
   }
   return buf;
 }
@@ -25,11 +25,11 @@ std::string with_unit(double v, const char* unit) {
 std::string format_bytes(double bytes) {
   const double b = std::fabs(bytes);
   const char* sign = bytes < 0 ? "-" : "";
-  if (b >= 1e12) return sign + with_unit(b / 1e12, "TB");
-  if (b >= 1e9) return sign + with_unit(b / 1e9, "GB");
-  if (b >= 1e6) return sign + with_unit(b / 1e6, "MB");
-  if (b >= 1e3) return sign + with_unit(b / 1e3, "kB");
-  return sign + with_unit(b, "B");
+  if (b >= 1e12) return with_unit(sign, b / 1e12, "TB");
+  if (b >= 1e9) return with_unit(sign, b / 1e9, "GB");
+  if (b >= 1e6) return with_unit(sign, b / 1e6, "MB");
+  if (b >= 1e3) return with_unit(sign, b / 1e3, "kB");
+  return with_unit(sign, b, "B");
 }
 
 std::string format_seconds(double seconds) {
@@ -48,18 +48,18 @@ std::string format_seconds(double seconds) {
     std::snprintf(buf, sizeof buf, "%s%dm%04.1fs", sign, m, rest);
     return buf;
   }
-  if (s >= 1.0) return sign + with_unit(s, "s");
-  if (s >= 1e-3) return sign + with_unit(s * 1e3, "ms");
-  if (s >= 1e-6) return sign + with_unit(s * 1e6, "us");
-  return sign + with_unit(s * 1e9, "ns");
+  if (s >= 1.0) return with_unit(sign, s, "s");
+  if (s >= 1e-3) return with_unit(sign, s * 1e3, "ms");
+  if (s >= 1e-6) return with_unit(sign, s * 1e6, "us");
+  return with_unit(sign, s * 1e9, "ns");
 }
 
 std::string format_count(double count) {
   const double c = std::fabs(count);
   const char* sign = count < 0 ? "-" : "";
-  if (c >= 1e9) return sign + with_unit(c / 1e9, "B");
-  if (c >= 1e6) return sign + with_unit(c / 1e6, "M");
-  if (c >= 1e3) return sign + with_unit(c / 1e3, "k");
+  if (c >= 1e9) return with_unit(sign, c / 1e9, "B");
+  if (c >= 1e6) return with_unit(sign, c / 1e6, "M");
+  if (c >= 1e3) return with_unit(sign, c / 1e3, "k");
   char buf[64];
   std::snprintf(buf, sizeof buf, "%s%.0f", sign, c);
   return buf;

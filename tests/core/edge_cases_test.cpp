@@ -11,6 +11,7 @@
 #include "join/schedulers.hpp"
 #include "net/metrics.hpp"
 #include "net/simulator.hpp"
+#include "testing/names.hpp"
 
 namespace ccf {
 namespace {
@@ -177,7 +178,7 @@ TEST(EdgeCases, ZeroWeightDrainEpochHasNoNaNs) {
     for (std::size_t c = 0; c < 3; ++c) {
       net::FlowMatrix m(3);
       m.set(c, (c + 1) % 3, 4.0 + static_cast<double>(c));
-      net::CoflowSpec spec("z" + std::to_string(c), 0.0, std::move(m));
+      net::CoflowSpec spec(testing::numbered("z", c), 0.0, std::move(m));
       spec.weight = 0.0;
       sim.add_coflow(std::move(spec));
     }

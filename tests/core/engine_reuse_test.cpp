@@ -18,6 +18,7 @@
 #include "core/engine.hpp"
 #include "core/registry.hpp"
 #include "data/workload.hpp"
+#include "testing/names.hpp"
 
 namespace ccf::core {
 namespace {
@@ -51,7 +52,7 @@ void submit_epoch(
     const std::vector<std::shared_ptr<const data::Workload>>& workloads) {
   const char* schedulers[] = {"ccf", "hash", "mini"};
   for (std::size_t i = 0; i < workloads.size(); ++i) {
-    engine.submit(QuerySpec("q" + std::to_string(i), workloads[i],
+    engine.submit(QuerySpec(testing::numbered("q", i), workloads[i],
                             schedulers[i % 3],
                             0.05 * static_cast<double>(i)));
   }
@@ -166,7 +167,7 @@ void submit_queries(
     const std::vector<std::pair<std::size_t, std::string>>& queries) {
   for (std::size_t q = 0; q < queries.size(); ++q) {
     const auto& [w, scheduler] = queries[q];
-    engine.submit(QuerySpec("q" + std::to_string(q), workloads[w], scheduler,
+    engine.submit(QuerySpec(testing::numbered("q", q), workloads[w], scheduler,
                             0.05 * static_cast<double>(q)));
   }
 }

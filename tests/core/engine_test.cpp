@@ -21,6 +21,7 @@
 
 #include "core/pipeline.hpp"
 #include "core/registry.hpp"
+#include "testing/names.hpp"
 
 namespace ccf::core {
 namespace {
@@ -203,7 +204,7 @@ TEST(EngineConcurrency, ConcurrentSubmittersLoseNoQueries) {
   for (std::size_t t = 0; t < kThreads; ++t) {
     submitters.emplace_back([&, t] {
       for (std::size_t i = 0; i < kPerThread; ++i) {
-        engine.submit(QuerySpec("t" + std::to_string(t), workload));
+        engine.submit(QuerySpec(testing::numbered("t", t), workload));
       }
     });
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "testing/names.hpp"
+
 namespace ccf::core {
 namespace {
 
@@ -76,7 +78,7 @@ TEST(RunQuery, FixedPointConvergesQuickly) {
   std::vector<QueryStage> plan;
   plan.push_back({"s0", stage_workload(10), {}, 0.0});
   for (std::size_t s = 1; s < 5; ++s) {
-    plan.push_back({"s" + std::to_string(s), stage_workload(10 + s, 0.5),
+    plan.push_back({testing::numbered("s", s), stage_workload(10 + s, 0.5),
                     {s - 1}, 0.1});
   }
   const QueryReport r = run_query(plan);

@@ -21,6 +21,7 @@
 #include "core/engine.hpp"
 #include "data/workload.hpp"
 #include "net/coflow.hpp"
+#include "testing/names.hpp"
 
 namespace ccf::core {
 namespace {
@@ -91,7 +92,7 @@ TEST(ServiceSparse, DrainsSparseSubmissionsAndReplaysBitIdentically) {
     Service service(options, log.callback());
     for (int i = 0; i < 8; ++i) {
       const SubmitResult r = service.submit(
-          0, sparse_coflow("s" + std::to_string(i), 0.1 * i, 1.0 + i));
+          0, sparse_coflow(testing::numbered("s", i), 0.1 * i, 1.0 + i));
       ASSERT_TRUE(r.accepted()) << i;
     }
     service.flush();
@@ -156,10 +157,10 @@ TEST(ServiceSparse, MixedDenseAndSparseEpochsReplay) {
     for (int i = 0; i < 6; ++i) {
       SubmitResult r;
       if (i % 2 == 0) {
-        r = service.submit(0, QuerySpec("q" + std::to_string(i), workload));
+        r = service.submit(0, QuerySpec(testing::numbered("q", i), workload));
       } else {
         r = service.submit(0,
-                           sparse_coflow("s" + std::to_string(i), 0.0, 2.0));
+                           sparse_coflow(testing::numbered("s", i), 0.0, 2.0));
       }
       ASSERT_TRUE(r.accepted()) << i;
     }

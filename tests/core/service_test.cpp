@@ -33,6 +33,7 @@
 
 #include "core/engine.hpp"
 #include "data/workload.hpp"
+#include "testing/names.hpp"
 
 namespace ccf::core {
 namespace {
@@ -104,7 +105,7 @@ ServiceOptions base_options(std::size_t shards, std::size_t tenants) {
   options.max_wait = std::chrono::microseconds(200);
   for (std::size_t t = 0; t < tenants; ++t) {
     TenantSpec tenant;
-    tenant.name = "t" + std::to_string(t);
+    tenant.name = testing::numbered("t", t);
     options.tenants.push_back(std::move(tenant));
   }
   return options;
@@ -342,7 +343,7 @@ TEST(Service, BurstIntoFreshShardDrainsAsOneEpoch) {
   // instead of dispatching the burst's first submission alone.
   for (std::size_t i = 0; i < 64; ++i) {
     ASSERT_TRUE(service
-                    .submit(0, QuerySpec("q" + std::to_string(i),
+                    .submit(0, QuerySpec(testing::numbered("q", i),
                                          workloads[i % workloads.size()]))
                     .accepted());
   }

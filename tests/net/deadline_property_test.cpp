@@ -5,6 +5,7 @@
 
 #include "net/metrics.hpp"
 #include "net/simulator.hpp"
+#include "testing/names.hpp"
 #include "util/rng.hpp"
 
 namespace ccf::net {
@@ -31,7 +32,7 @@ TEST_P(DeadlineProperty, EveryAdmittedCoflowMeetsItsDeadline) {
     }
     if (m.traffic() <= 0.0) m.set(0, 1, 50.0);
     const double lone = gamma_bound(m, fabric);
-    CoflowSpec spec("c" + std::to_string(c), arrival, std::move(m));
+    CoflowSpec spec(testing::numbered("c", c), arrival, std::move(m));
     // Deadlines from infeasible (0.5x) to generous (3x) of the lone bound.
     spec.deadline = lone * rng.uniform(0.5, 3.0);
     sim.add_coflow(std::move(spec));
@@ -66,7 +67,7 @@ TEST_P(DeadlineProperty, RejectionsNeverConsumeBandwidth) {
     const double lone = gamma_bound(m, fabric);
     const bool feasible = c % 2 == 0;
     if (feasible) expected_bytes += m.traffic();
-    CoflowSpec spec("c" + std::to_string(c), 0.0, std::move(m));
+    CoflowSpec spec(testing::numbered("c", c), 0.0, std::move(m));
     // Same-port coflows arriving together: generous vs absurd deadlines.
     spec.deadline = feasible ? lone * 20.0 : lone * 0.01;
     sim.add_coflow(std::move(spec));

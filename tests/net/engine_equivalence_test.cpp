@@ -17,6 +17,7 @@
 #include "net/simulator.hpp"
 #include "testing/invariants.hpp"
 #include "testing/leaf_spine.hpp"
+#include "testing/names.hpp"
 #include "util/rng.hpp"
 
 namespace ccf::net {
@@ -42,7 +43,7 @@ std::vector<CoflowSpec> make_workload(std::size_t nodes, std::uint64_t seed) {
   util::Pcg32 rng(util::derive_seed(seed, 7), 7);
   std::vector<CoflowSpec> specs;
   for (std::size_t c = 0; c < 8; ++c) {
-    CoflowSpec spec("c" + std::to_string(c), rng.uniform(0.0, 3.0),
+    CoflowSpec spec(testing::numbered("c", c), rng.uniform(0.0, 3.0),
                     random_matrix(nodes, rng, 0.4, 200.0));
     if (c % 3 == 1) {
       FlowMatrix offsets(nodes);
@@ -155,13 +156,14 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values("fair", "madd", "varys", "aalo",
                                          "varys-edf"),
                        ::testing::Bool()),
-    [](const ::testing::TestParamInfo<Combo>& info) {
-      std::string alloc = std::get<1>(info.param);
+    [](const ::testing::TestParamInfo<Combo>& param_info) {
+      std::string alloc = std::get<1>(param_info.param);
       for (char& ch : alloc) {
         if (ch == '-') ch = '_';  // gtest names must be identifiers
       }
-      return "seed" + std::to_string(std::get<0>(info.param)) + "_" + alloc +
-             "_" + (std::get<2>(info.param) ? "rack" : "fabric");
+      return "seed" + std::to_string(std::get<0>(param_info.param)) + "_" +
+             alloc + "_" +
+             (std::get<2>(param_info.param) ? "rack" : "fabric");
     });
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "net/simulator.hpp"
 #include "testing/invariants.hpp"
 #include "testing/leaf_spine.hpp"
+#include "testing/names.hpp"
 #include "util/rng.hpp"
 
 namespace ccf::net {
@@ -38,7 +39,7 @@ std::vector<CoflowSpec> make_workload(std::size_t nodes, std::uint64_t seed) {
   util::Pcg32 rng(util::derive_seed(seed, 21), 21);
   std::vector<CoflowSpec> specs;
   for (std::size_t c = 0; c < 6; ++c) {
-    specs.emplace_back("c" + std::to_string(c), rng.uniform(0.0, 4.0),
+    specs.emplace_back(testing::numbered("c", c), rng.uniform(0.0, 4.0),
                        random_matrix(nodes, rng, 0.4, 150.0));
   }
   return specs;
@@ -226,12 +227,13 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1u, 2u, 3u),
                        ::testing::Values("fair", "madd", "varys", "aalo",
                                          "varys-edf")),
-    [](const ::testing::TestParamInfo<Combo>& info) {
-      std::string alloc = std::get<1>(info.param);
+    [](const ::testing::TestParamInfo<Combo>& param_info) {
+      std::string alloc = std::get<1>(param_info.param);
       for (char& ch : alloc) {
         if (ch == '-') ch = '_';  // gtest names must be identifiers
       }
-      return "seed" + std::to_string(std::get<0>(info.param)) + "_" + alloc;
+      return "seed" + std::to_string(std::get<0>(param_info.param)) + "_" +
+             alloc;
     });
 
 }  // namespace

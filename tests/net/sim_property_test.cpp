@@ -10,6 +10,7 @@
 
 #include "net/metrics.hpp"
 #include "net/simulator.hpp"
+#include "testing/names.hpp"
 #include "util/rng.hpp"
 
 namespace ccf::net {
@@ -95,7 +96,7 @@ TEST_P(SimProperty, VarysAverageCctNotWorseThanFifoOnBatch) {
   auto run_with = [&](const char* name) {
     Simulator sim(Fabric(n, 3.0), make_allocator(name));
     for (std::size_t c = 0; c < batch.size(); ++c) {
-      sim.add_coflow(CoflowSpec("c" + std::to_string(c), 0.0, batch[c]));
+      sim.add_coflow(CoflowSpec(testing::numbered("c", c), 0.0, batch[c]));
     }
     return sim.run().average_cct();
   };
@@ -126,7 +127,7 @@ TEST_P(SimProperty, MakespanIndependentOfWorkConservingOrderOnBatch) {
   for (const char* name : {"fair", "madd", "varys", "aalo"}) {
     Simulator sim(fabric, make_allocator(name));
     for (std::size_t c = 0; c < batch.size(); ++c) {
-      sim.add_coflow(CoflowSpec("c" + std::to_string(c), 0.0, batch[c]));
+      sim.add_coflow(CoflowSpec(testing::numbered("c", c), 0.0, batch[c]));
     }
     EXPECT_GE(sim.run().makespan, gamma_union * (1.0 - 1e-9)) << name;
   }

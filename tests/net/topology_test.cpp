@@ -166,7 +166,9 @@ TEST(TopologyWaxman, EveryPairRoutedAndCapacitiesPositive) {
   }
   for (std::uint32_t i = 0; i < topo->nodes(); ++i) {
     for (std::uint32_t j = 0; j < topo->nodes(); ++j) {
-      if (i != j) EXPECT_GE(topo->path_count(i, j), 1u);
+      if (i != j) {
+        EXPECT_GE(topo->path_count(i, j), 1u);
+      }
     }
   }
   EXPECT_THROW(Topology::waxman(4, 10.0, 1, {.routers = 9}),

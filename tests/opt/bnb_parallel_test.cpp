@@ -12,6 +12,7 @@
 #include "data/workload.hpp"
 #include "join/schedulers.hpp"
 #include "opt/local_search.hpp"
+#include "testing/names.hpp"
 #include "util/rng.hpp"
 
 namespace ccf::opt {
@@ -139,7 +140,7 @@ TEST_P(ParallelRepeat, SameAssignmentOnEveryRun) {
 INSTANTIATE_TEST_SUITE_P(
     Threads, ParallelRepeat, ::testing::Values(1, 2, 4, 8),
     [](const ::testing::TestParamInfo<std::size_t>& param_info) {
-      return "t" + std::to_string(param_info.param);
+      return testing::numbered("t", param_info.param);
     });
 
 // ---------------------------------------------------------------------------

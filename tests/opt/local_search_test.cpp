@@ -231,8 +231,9 @@ TEST_P(RefinePaperPin, CcfLsMatchesRecordedAssignments) {
 
 INSTANTIATE_TEST_SUITE_P(PaperJoinNodes, RefinePaperPin,
                          ::testing::Values(250, 500, 750, 1000),
-                         [](const ::testing::TestParamInfo<std::size_t>& info) {
-                           return "n" + std::to_string(info.param);
+                         [](const ::testing::TestParamInfo<std::size_t>&
+                                param_info) {
+                           return "n" + std::to_string(param_info.param);
                          });
 
 // The full scan is the cost the candidate rule removes: on paper_join's

@@ -17,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -28,36 +27,12 @@
 #include "net/fabric.hpp"
 #include "net/flow.hpp"
 #include "net/simulator.hpp"
+#include "testing/names.hpp"
+#include "testing/ordering_problems.hpp"
 #include "util/rng.hpp"
 
 namespace ccf::sched {
 namespace {
-
-// A random sparse instance: `coflows` coflows over `links` ports, each
-// touching 1..4 ports with loads in [0.1, 8) and weight in [0.25, 4).
-OrderingProblem random_problem(std::uint64_t seed, std::uint32_t coflows,
-                               std::uint32_t links) {
-  util::Pcg32 rng(util::derive_seed(seed, 131), 131);
-  std::vector<double> caps(links);
-  for (double& c : caps) c = rng.uniform(0.5, 2.0);
-  OrderingProblem p;
-  p.reset(caps);
-  std::vector<std::uint32_t> touched;
-  std::vector<double> loads;
-  for (std::uint32_t c = 0; c < coflows; ++c) {
-    touched.clear();
-    loads.clear();
-    const std::uint32_t fan = 1 + rng.bounded(4);
-    for (std::uint32_t f = 0; f < fan; ++f) {
-      const std::uint32_t link = rng.bounded(links);
-      if (std::ranges::find(touched, link) != touched.end()) continue;
-      touched.push_back(link);
-      loads.push_back(rng.uniform(0.1, 8.0));
-    }
-    p.add_coflow(rng.uniform(0.25, 4.0), touched, loads);
-  }
-  return p;
-}
 
 bool is_permutation_of_all(const std::vector<std::uint32_t>& order,
                            std::size_t n) {
@@ -72,7 +47,7 @@ bool is_permutation_of_all(const std::vector<std::uint32_t>& order,
 
 TEST(OrderingProperty, OrderingsArePureFunctionsOfTheProblem) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const OrderingProblem p = random_problem(seed, 12, 9);
+    const OrderingProblem p = testing::random_ordering_problem(seed, 12, 9);
     std::vector<std::uint32_t> first_sin, first_lp;
     double first_dual = 0.0;
     sincronia_order(p, first_sin, &first_dual);
@@ -108,7 +83,7 @@ std::vector<net::CoflowSpec> random_specs(std::uint64_t seed,
       if (dst == src) dst = (dst + 1) % nodes;
       m.add(src, dst, rng.uniform(1.0, 50.0));
     }
-    net::CoflowSpec spec("c" + std::to_string(c),
+    net::CoflowSpec spec(testing::numbered("c", c),
                          c % 3 == 0 ? 0.0 : rng.uniform(0.0, 5.0),
                          std::move(m));
     spec.weight = rng.uniform(0.25, 4.0);
@@ -179,7 +154,7 @@ TEST(OrderingProperty, EngineDrainIsIdenticalAcrossPlacementThreads) {
     core::Engine engine(opts);
     for (std::uint64_t q = 0; q < 6; ++q) {
       wspec.seed = 100 + q;
-      core::QuerySpec query("q" + std::to_string(q),
+      core::QuerySpec query(testing::numbered("q", q),
                             data::generate_workload(wspec));
       query.weight = static_cast<double>(1 + q % 3);
       engine.submit(std::move(query));

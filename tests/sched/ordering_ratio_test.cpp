@@ -37,6 +37,7 @@
 #include "net/metrics.hpp"
 #include "net/simulator.hpp"
 #include "testing/leaf_spine.hpp"
+#include "testing/names.hpp"
 #include "util/rng.hpp"
 
 namespace ccf::sched {
@@ -103,7 +104,7 @@ net::CoflowSpec make_coflow(util::Pcg32& rng, std::size_t nodes, Family family,
       break;
     }
   }
-  net::CoflowSpec spec("c" + std::to_string(index), 0.0, std::move(m));
+  net::CoflowSpec spec(testing::numbered("c", index), 0.0, std::move(m));
   spec.weight = rng.uniform(0.25, 4.0);
   return spec;
 }

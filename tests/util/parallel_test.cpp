@@ -240,7 +240,9 @@ TEST(ParallelPool, NestedCallFromAWorkerRunsInline) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
   EXPECT_TRUE(inline_everywhere.load());
-  if (effective_threads() > 1) EXPECT_GT(on_workers.load(), 0u);
+  if (effective_threads() > 1) {
+    EXPECT_GT(on_workers.load(), 0u);
+  }
 }
 
 TEST(ParallelPool, ConcurrentCallersGetExactResults) {
